@@ -49,7 +49,6 @@ from .model import (
     ScanRecord,
     canonical_bssid,
     ingest,
-    is_empty,
     read_scan_log,
     rssi_to_power,
     write_scan_log,

@@ -19,13 +19,14 @@ import numpy as np
 
 from . import evaluation, pipeline
 from .clustering import (
+    ClusterAssignment,
     ClusterParams,
     cluster,
     read_assignment,
     write_assignment,
 )
 from .config import PipelineConfig, config_from_file, config_with_overrides
-from .errors import WifiInoutError
+from .errors import FormatError, WifiInoutError
 from .features import (
     extract_features,
     neighborhood_feature_grid,
@@ -47,12 +48,8 @@ def log(msg: str) -> None:
 def _load_config(args) -> PipelineConfig:
     cfg = config_from_file(args.config) if args.config else PipelineConfig()
     overrides = {}
-    for key, attr in (
-        ("seed", "seed"), ("eps", "eps"), ("min_pts", "min_pts"),
-        ("learner", "learner"), ("threshold", "threshold"),
-        ("variant", "variant"),
-    ):
-        value = getattr(args, attr, None)
+    for key in ("seed", "eps", "min_pts", "learner", "threshold", "variant"):
+        value = getattr(args, key, None)
         if value is not None:
             overrides[key] = str(value)
     return config_with_overrides(cfg, overrides)
@@ -71,6 +68,15 @@ def _print_eval(report: evaluation.EvalReport) -> None:
     print(f"auc           {auc_text}")
     print(f"indoor_prior  {report.indoor_prior:.4f}")
     print(f"confusion     tp={report.tp} fp={report.fp} tn={report.tn} fn={report.fn}")
+
+
+def _node_labels(assignment, m, cfg) -> list:
+    """Majority-vote label per node; None for a node left unlabeled."""
+    labeled, _ = label_nodes(assignment, m.labels, cfg.tie_rule)
+    node_labels: list = [None] * assignment.n_clusters
+    for ln in labeled:
+        node_labels[ln.node_id] = ln.label
+    return node_labels
 
 
 def _write_json(obj, path: Optional[str]) -> None:
@@ -120,9 +126,8 @@ def cmd_graph(args) -> int:
     m = _load_matrix(args.scans)
     assignment = read_assignment(args.clusters)
     g = build_graph(assignment, m, cfg.max_gap_ms)
-    edges = sum(len(a) for a in g.adjacency) // 2
     write_graph(g, f"{args.out}.edges", f"{args.out}.nodes")
-    log(f"graph nodes={g.n_nodes} edges={edges} -> {args.out}.edges / {args.out}.nodes")
+    log(f"graph nodes={g.n_nodes} edges={g.n_edges} -> {args.out}.edges / {args.out}.nodes")
     return 0
 
 
@@ -132,14 +137,11 @@ def cmd_features(args) -> int:
     assignment = read_assignment(args.clusters)
     g = build_graph(assignment, m, cfg.max_gap_ms)
     table = extract_features(g, m, cfg.feature_ranges())
-    labeled, unlabeled = label_nodes(assignment, m.labels, cfg.tie_rule)
-    node_labels: list = [None] * g.n_nodes
-    for ln in labeled:
-        node_labels[ln.node_id] = ln.label
+    node_labels = _node_labels(assignment, m, cfg)
     write_features_csv(table, g.node_weight, node_labels, args.out)
-    edges = sum(len(a) for a in g.adjacency) // 2
-    log(f"nodes={g.n_nodes} edges={edges} features={len(table.names)} "
-        f"labeled={len(labeled)} unlabeled={len(unlabeled)} -> {args.out}")
+    n_labeled = sum(1 for lab in node_labels if lab is not None)
+    log(f"nodes={g.n_nodes} edges={g.n_edges} features={len(table.names)} "
+        f"labeled={n_labeled} unlabeled={g.n_nodes - n_labeled} -> {args.out}")
     return 0
 
 
@@ -150,11 +152,7 @@ def cmd_select_dims(args) -> int:
     assignment = cluster(m, ClusterParams(cfg.eps, cfg.min_pts), index)
     g = build_graph(assignment, m, cfg.max_gap_ms)
     table = neighborhood_feature_grid(g, m, max_d=args.max_d)
-    labeled, _ = label_nodes(assignment, m.labels, cfg.tie_rule)
-    node_labels: list = [None] * g.n_nodes
-    for ln in labeled:
-        node_labels[ln.node_id] = ln.label
-    report = select_neighborhood_sizes(table, node_labels)
+    report = select_neighborhood_sizes(table, _node_labels(assignment, m, cfg))
     print("feature            coef        t         p      selected")
     for e in report.entries:
         if e.constant:
@@ -197,33 +195,55 @@ def cmd_predict(args) -> int:
     m = _load_matrix(args.scans)
     model = Model.load(args.model)
     pred, stages = pipeline.score(m, model, cfg)
-    with open(args.out, "w", encoding="utf-8") as f:
-        for i in range(m.T):
-            f.write(json.dumps({
-                "seq": i,
-                "node": int(stages.assignment.cluster_of[i]),
-                "score": float(pred.fp_scores[i]),
-                "label": pred.fp_labels[i],
-            }))
-            f.write("\n")
+    _write_predictions(args.out, pred, stages.assignment)
     log(f"scored T={m.T} nodes={stages.graph.n_nodes} -> {args.out}")
     return 0
 
 
-def _read_predictions(path, threshold: float) -> Prediction:
+# --- predictions file: one {"seq", "node", "score", "label"} object per line ---
+
+def _write_predictions(path, pred: Prediction, assignment: ClusterAssignment) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        for i, node in enumerate(assignment.cluster_of):
+            f.write(json.dumps({
+                "seq": i,
+                "node": int(node),
+                "score": float(pred.fp_scores[i]),
+                "label": pred.fp_labels[i],
+            }))
+            f.write("\n")
+
+
+def _read_predictions(path, threshold: float, T: int) -> Prediction:
+    """Inverse of _write_predictions for a scan log of T fingerprints;
+    seqs must be exactly 0..T-1."""
     rows = []
     with open(path, "r", encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             line = line.strip()
-            if line:
-                rows.append(json.loads(line))
-    rows.sort(key=lambda r: r["seq"])
-    fp_scores = np.array([r["score"] for r in rows])
-    fp_labels = [r["label"] for r in rows]
-    n_nodes = max(r["node"] for r in rows) + 1
-    node_scores = np.zeros(n_nodes)
-    for r in rows:
-        node_scores[r["node"]] = r["score"]
+            if not line:
+                continue
+            try:
+                r = json.loads(line)
+                row = (r["seq"], r["node"], r["score"], r["label"])
+            except (json.JSONDecodeError, KeyError, TypeError) as e:
+                raise FormatError(f"{path}:{lineno}: bad prediction line: {e}") from e
+            seq, node, score, label = row
+            if not (isinstance(seq, int) and isinstance(node, int) and node >= 0
+                    and isinstance(score, (int, float)) and not isinstance(score, bool)
+                    and label in (INDOOR, OUTDOOR)):
+                raise FormatError(f"{path}:{lineno}: bad prediction values {line}")
+            rows.append(row)
+    if len(rows) != T:
+        raise FormatError(f"{path}: {len(rows)} predictions for {T} scans")
+    rows.sort(key=lambda r: r[0])
+    if any(r[0] != i for i, r in enumerate(rows)):
+        raise FormatError(f"{path}: prediction seqs must be 0..{T - 1}, each once")
+    fp_scores = np.array([r[2] for r in rows], dtype=np.float64)
+    fp_labels = [r[3] for r in rows]
+    node_scores = np.zeros(max(r[1] for r in rows) + 1)
+    for _, node, score, _ in rows:
+        node_scores[node] = score
     node_labels = [INDOOR if s >= threshold else OUTDOOR for s in node_scores]
     return Prediction(node_scores, node_labels, fp_scores, fp_labels, threshold)
 
@@ -231,7 +251,7 @@ def _read_predictions(path, threshold: float) -> Prediction:
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
     m = _load_matrix(args.scans)
-    pred = _read_predictions(args.preds, cfg.threshold)
+    pred = _read_predictions(args.preds, cfg.threshold, m.T)
     report = evaluation.evaluate(pred, m.labels)
     _print_eval(report)
     _write_json(report.to_dict(), args.out)
@@ -241,7 +261,7 @@ def cmd_eval(args) -> int:
 def cmd_latency(args) -> int:
     cfg = _load_config(args)
     m = _load_matrix(args.scans)
-    pred = _read_predictions(args.preds, cfg.threshold)
+    pred = _read_predictions(args.preds, cfg.threshold, m.T)
     report = evaluation.switch_latency(pred, m.labels, m.timestamps_ms)
     for s in report.switches:
         lat = f"{s.latency_s:.1f}s" if s.latency_s is not None else "never"
@@ -328,15 +348,7 @@ def cmd_pipeline(args) -> int:
     _print_eval(report)
     if args.out:
         model.save(f"{args.out}.model.json")
-        with open(f"{args.out}.preds.jsonl", "w", encoding="utf-8") as f:
-            for i in range(test_m.T):
-                f.write(json.dumps({
-                    "seq": i,
-                    "node": int(stages.assignment.cluster_of[i]),
-                    "score": float(pred.fp_scores[i]),
-                    "label": pred.fp_labels[i],
-                }))
-                f.write("\n")
+        _write_predictions(f"{args.out}.preds.jsonl", pred, stages.assignment)
         _write_json(report.to_dict(), f"{args.out}.report.json")
         log(f"artifacts -> {args.out}.model.json / .preds.jsonl / .report.json")
     return 0

@@ -7,8 +7,8 @@ indoor-favoring tie breaks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, Dict, Optional, get_args, get_type_hints
 
 from .errors import ConfigError, FormatError
 from .features import BASELINE_RANGES, FeatureRanges
@@ -32,19 +32,27 @@ def parse_kv_file(path) -> Dict[str, str]:
     return out
 
 
-def _convert(raw: str, typ: str):
-    if typ == "str":
-        return raw
-    if raw.lower() in ("none", "null", ""):
-        return None
-    try:
-        if typ == "int":
-            return int(raw)
-        if typ == "float":
-            return float(raw)
-    except ValueError as e:
-        raise ConfigError(f"bad {typ} value {raw!r}") from e
-    raise ConfigError(f"unknown config type {typ}")
+def parse_fields(cls, raw: Dict[str, str]) -> Dict[str, Any]:
+    """Convert raw `key = value` strings to the field types dataclass
+    `cls` declares. Only Optional fields accept none, null or an empty
+    value."""
+    hints = get_type_hints(cls)
+    out: Dict[str, Any] = {}
+    for key, value in raw.items():
+        if key not in hints:
+            raise ConfigError(f"unknown {cls.__name__} key {key!r}")
+        typ = hints[key]
+        args = get_args(typ)
+        if type(None) in args:
+            if value.lower() in ("none", "null", ""):
+                out[key] = None
+                continue
+            (typ,) = [a for a in args if a is not type(None)]
+        try:
+            out[key] = typ(value)
+        except ValueError as e:
+            raise ConfigError(f"bad {typ.__name__} value for {key}: {value!r}") from e
+    return out
 
 
 @dataclass(frozen=True)
@@ -78,8 +86,16 @@ class PipelineConfig:
     def validate(self) -> "PipelineConfig":
         if not 0.0 <= self.eps < 2.0:
             raise ConfigError(f"eps must be in [0, 2), got {self.eps}")
-        if self.min_pts < 1:
-            raise ConfigError(f"min_pts must be >= 1, got {self.min_pts}")
+        for name, lo in (
+            ("min_pts", 1), ("seed", 0), ("max_gap_ms", 0),
+            ("n_trees", 1), ("rf_max_features", 1), ("rf_max_depth", 1),
+            ("min_leaf", 1), ("gbm_rounds", 1), ("gbm_depth", 1),
+        ):
+            value = getattr(self, name)
+            if value is not None and value < lo:  # None: an unset Optional
+                raise ConfigError(f"{name} must be >= {lo}, got {value}")
+        if not self.learning_rate > 0.0:
+            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.learner not in ("rf", "gbm"):
             raise ConfigError(f"learner must be rf or gbm, got {self.learner!r}")
         if not 0.0 <= self.threshold <= 1.0:
@@ -127,29 +143,9 @@ class PipelineConfig:
         )
 
 
-_FIELD_TYPES = {
-    "eps": "float", "min_pts": "int", "max_gap_ms": "int",
-    "learner": "str", "seed": "int", "threshold": "float",
-    "tie_rule": "str", "variant": "str",
-    "neighbors_d_min": "int", "neighbors_d_max": "int",
-    "power_d_min": "int", "power_d_max": "int",
-    "aps_d_min": "int", "aps_d_max": "int",
-    "fps_d_min": "int", "fps_d_max": "int",
-    "n_trees": "int", "rf_max_features": "int", "rf_max_depth": "int",
-    "min_leaf": "int", "gbm_rounds": "int", "gbm_depth": "int",
-    "learning_rate": "float",
-}
-
-
 def config_from_file(path) -> PipelineConfig:
     return config_with_overrides(PipelineConfig(), parse_kv_file(path))
 
 
 def config_with_overrides(base: PipelineConfig, overrides: Dict[str, str]) -> PipelineConfig:
-    known = {f.name for f in fields(PipelineConfig)}
-    updates = {}
-    for key, raw in overrides.items():
-        if key not in known:
-            raise ConfigError(f"unknown config key {key!r}")
-        updates[key] = _convert(raw, _FIELD_TYPES[key])
-    return replace(base, **updates).validate()
+    return replace(base, **parse_fields(PipelineConfig, overrides)).validate()

@@ -1,14 +1,16 @@
 """Inverted AP->fingerprint index for eps-radius region queries.
 
 Only fingerprints sharing at least one AP with the query can be closer
-than the maximal distance 2, so the index keeps a postings list per AP
-plus cached per-fingerprint ranks. A region query unions the postings of
-the query's APs, then computes the exact rank distance for every
+than the maximal distance 2, so the index keeps a postings list per AP,
+each entry paired with the AP's rank in that fingerprint. A region query
+unions the postings of the query's APs (whose ranks come from
+`Fingerprint.ranks()`), then computes the exact rank distance for every
 candidate in one vectorized pass.
 
 Empty fingerprints never share an AP, yet an empty pair at adjacent
-stream positions has distance 0; a separate list of empty positions makes
-those pairs reachable, since AP postings alone can never surface them.
+stream positions has distance 0; `empty_mask` marks the empty positions
+and makes those pairs reachable, since AP postings alone can never
+surface them.
 """
 
 from __future__ import annotations
@@ -28,10 +30,8 @@ class FingerprintIndex:
 
     postings: Dict[str, np.ndarray]       # AP -> ascending fingerprint indices
     posting_ranks: Dict[str, np.ndarray]  # parallel: rank of the AP in that fingerprint
-    rank_cache: List[Dict[str, float]]    # per fingerprint: AP -> fractional rank
     k: np.ndarray                         # per fingerprint: AP count
     rank_sumsq: np.ndarray                # per fingerprint: sum of squared ranks
-    empty_runs: np.ndarray                # sorted indices of empty fingerprints
     empty_mask: np.ndarray                # bool per fingerprint
 
     @property
@@ -43,14 +43,12 @@ def build_index(m: FingerprintMatrix) -> FingerprintIndex:
     T = m.T
     post_idx: Dict[str, List[int]] = {}
     post_rank: Dict[str, List[float]] = {}
-    rank_cache: List[Dict[str, float]] = []
     k = np.zeros(T, dtype=np.int64)
     rank_sumsq = np.zeros(T, dtype=np.float64)
     empty_mask = np.zeros(T, dtype=bool)
 
     for i, fp in enumerate(m.fingerprints):
         ranks = fp.ranks()
-        rank_cache.append(ranks)
         k[i] = len(ranks)
         if not ranks:
             empty_mask[i] = True
@@ -65,18 +63,16 @@ def build_index(m: FingerprintMatrix) -> FingerprintIndex:
     return FingerprintIndex(
         postings=postings,
         posting_ranks=posting_ranks,
-        rank_cache=rank_cache,
         k=k,
         rank_sumsq=rank_sumsq,
-        empty_runs=np.flatnonzero(empty_mask),
         empty_mask=empty_mask,
     )
 
 
-def _candidate_distances(q: int, index: FingerprintIndex):
+def _candidate_distances(q: int, index: FingerprintIndex, m: FingerprintMatrix):
     """All fingerprints sharing an AP with non-empty query q, with exact
     distances. Returns (candidate indices, distances) as arrays."""
-    ranks_q = index.rank_cache[q]
+    ranks_q = m.fingerprints[q].ranks()
     chunks_idx = []
     chunks_rq = []
     chunks_rc = []
@@ -133,7 +129,7 @@ def region_query_arr(
         lo, hi = max(0, q - 1), min(T, q + 2)
         window = np.arange(lo, hi)
         return window[index.empty_mask[lo:hi]]
-    uniq, dist = _candidate_distances(q, index)
+    uniq, dist = _candidate_distances(q, index, m)
     return uniq[dist <= eps]
 
 

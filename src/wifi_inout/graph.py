@@ -9,7 +9,6 @@ string out into chains, which is what the node features pick up.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import List, Optional, Set
 
@@ -27,6 +26,10 @@ class TransitionGraph:
     @property
     def n_nodes(self) -> int:
         return len(self.adjacency)
+
+    @property
+    def n_edges(self) -> int:
+        return sum(len(a) for a in self.adjacency) // 2
 
     def degree(self, x: int) -> int:
         return len(self.adjacency[x])
@@ -71,20 +74,9 @@ def build_graph(
 
 def neighborhood(g: TransitionGraph, x: int, d: int) -> Neighborhood:
     """Nodes reachable from x within d hops (breadth-first, includes x)."""
-    if not 0 <= x < g.n_nodes:
-        raise NodeRangeError(f"node {x} out of range [0, {g.n_nodes})")
     if d < 0:
         raise NodeRangeError(f"hop bound must be >= 0, got {d}")
-    members = {x}
-    frontier = deque([(x, 0)])
-    while frontier:
-        node, depth = frontier.popleft()
-        if depth == d:
-            continue
-        for nb in g.adjacency[node]:
-            if nb not in members:
-                members.add(nb)
-                frontier.append((nb, depth + 1))
+    members = set().union(*bfs_layers(g, x, d))
     return Neighborhood(center=x, d=d, members=members)
 
 

@@ -137,6 +137,10 @@ class Model:
             raise FormatError(f"bad model file: {e}") from e
         if model.kind not in (RANDOM_FOREST, GBM):
             raise FormatError(f"unknown model kind {model.kind!r}")
+        if not model.trees:
+            raise FormatError("model has no trees")
+        for tree in model.trees:
+            tree.check(len(model.feature_names))
         return model
 
     def save(self, path) -> None:

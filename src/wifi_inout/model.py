@@ -78,6 +78,7 @@ class Fingerprint:
     )
 
     def is_empty(self) -> bool:
+        """True iff the scan behind this fingerprint detected zero APs."""
         return not self.powers
 
     def ranks(self) -> Dict[str, float]:
@@ -110,11 +111,6 @@ def _fractional_ranks(powers: Dict[str, float]) -> Dict[str, float]:
             ranks[items[k][0]] = avg
         i = j + 1
     return ranks
-
-
-def is_empty(f: Fingerprint) -> bool:
-    """True iff the scan behind `f` detected zero APs."""
-    return f.is_empty()
 
 
 @dataclass

@@ -10,13 +10,13 @@ cluster (the raw-fingerprint baseline).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .clustering import ClusterAssignment, ClusterParams, cluster, singleton_assignment
 from .config import PipelineConfig
 from .evaluation import EvalReport, evaluate
 from .features import FeatureTable, extract_features
-from .fpindex import FingerprintIndex, build_index
+from .fpindex import build_index
 from .graph import TransitionGraph, build_graph
 from .learner import Model, Prediction, label_nodes, predict, train
 from .model import FingerprintMatrix
@@ -24,7 +24,6 @@ from .model import FingerprintMatrix
 
 @dataclass
 class Stages:
-    index: Optional[FingerprintIndex]
     assignment: ClusterAssignment
     graph: TransitionGraph
     features: FeatureTable
@@ -32,14 +31,13 @@ class Stages:
 
 def build_stages(m: FingerprintMatrix, config: PipelineConfig) -> Stages:
     if config.variant == "fingerprints":
-        index = None
         assignment = singleton_assignment(m)
     else:
         index = build_index(m)
         assignment = cluster(m, ClusterParams(config.eps, config.min_pts), index)
     g = build_graph(assignment, m, config.max_gap_ms)
     feats = extract_features(g, m, config.feature_ranges())
-    return Stages(index=index, assignment=assignment, graph=g, features=feats)
+    return Stages(assignment=assignment, graph=g, features=feats)
 
 
 def fit(m: FingerprintMatrix, config: PipelineConfig) -> Tuple[Model, Stages]:

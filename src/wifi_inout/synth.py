@@ -15,12 +15,12 @@ output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .config import parse_kv_file
+from .config import parse_fields, parse_kv_file
 from .errors import ConfigError
 from .model import INDOOR, OUTDOOR, ScanRecord
 
@@ -81,25 +81,8 @@ class WorldSpec:
         return self
 
 
-_SPEC_TYPES = {"seed": int, "device_id": str, "profile": str, "buildings": int,
-               "building_ap_min": int, "building_ap_max": int,
-               "outdoor_visible_min": int, "outdoor_visible_max": int,
-               "start_timestamp_ms": int}
-
-
 def worldspec_from_file(path) -> WorldSpec:
-    raw = parse_kv_file(path)
-    known = {f.name for f in fields(WorldSpec)}
-    updates = {}
-    for key, value in raw.items():
-        if key not in known:
-            raise ConfigError(f"unknown world spec key {key!r}")
-        typ = _SPEC_TYPES.get(key, float)
-        try:
-            updates[key] = typ(value)
-        except ValueError as e:
-            raise ConfigError(f"bad value for {key}: {value!r}") from e
-    return replace(WorldSpec(), **updates).validate()
+    return replace(WorldSpec(), **parse_fields(WorldSpec, parse_kv_file(path))).validate()
 
 
 class _MacPool:

@@ -14,6 +14,8 @@ from typing import List, Optional
 
 import numpy as np
 
+from .errors import FormatError
+
 _MIN_GAIN = 1e-12
 
 
@@ -47,6 +49,23 @@ class Tree:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.value[self.apply(X)]
+
+    def check(self, n_features: int) -> None:
+        """Raise FormatError unless every walk in `apply` ends at a leaf:
+        children of an internal node lie after it and inside the tree."""
+        n = self.feature.size
+        arrays = (self.feature, self.threshold, self.left, self.right, self.value, self.gain)
+        if n < 1 or any(a.shape != (n,) for a in arrays):
+            raise FormatError("tree arrays must be non-empty and of equal length")
+        if (self.feature < -1).any() or (self.feature >= n_features).any():
+            raise FormatError(f"split feature out of range [0, {n_features})")
+        leaf = self.feature == -1
+        if (self.left[leaf] != -1).any() or (self.right[leaf] != -1).any():
+            raise FormatError("a leaf (feature -1) has children")
+        parent = np.flatnonzero(~leaf)
+        for child in (self.left[parent], self.right[parent]):
+            if ((child <= parent) | (child >= n)).any():
+                raise FormatError("a child node must come after its parent, inside the tree")
 
     def to_dict(self) -> dict:
         return {

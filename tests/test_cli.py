@@ -1,9 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
-from wifi_inout.cli import main
-from wifi_inout.model import read_scan_log
+from wifi_inout.cli import _read_predictions, _write_predictions, main
+from wifi_inout.clustering import ClusterAssignment
+from wifi_inout.errors import FormatError
+from wifi_inout.learner import Prediction
+from wifi_inout.model import INDOOR, OUTDOOR, read_scan_log
 
 WORLD_A = (
     "seed = 1\n"
@@ -236,3 +240,113 @@ def test_config_file_plus_flag_override(tmp_path, worlds):
                  "--out", str(prefix2)]) == 0
     model2 = json.loads((tmp_path / "rf_run.model.json").read_text())
     assert model2["kind"] == "random_forest"
+
+
+def _tiny_scans(tmp_path):
+    spec = tmp_path / "tiny.cfg"
+    spec.write_text("duration_s = 60\n", encoding="utf-8")
+    scans = tmp_path / "tiny.scans"
+    assert main(["synth", "--spec", str(spec), "--out", str(scans)]) == 0
+    return scans
+
+
+@pytest.mark.parametrize("line", ["eps = none", "seed = none", "seed = 3.5"])
+def test_bad_config_value_exits_one(tmp_path, capsys, line):
+    scans = _tiny_scans(tmp_path)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["cluster", "--scans", str(scans), "--config", str(cfg),
+                 "--out", str(tmp_path / "c.jsonl")]) == 1
+    assert main(["pipeline", "--train", str(scans), "--test", str(scans),
+                 "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 2 and "Traceback" not in err
+    assert not (tmp_path / "run.model.json").exists()
+
+
+def test_negative_seed_flag_exits_one(tmp_path, capsys):
+    scans = _tiny_scans(tmp_path)
+    assert main(["pipeline", "--train", str(scans), "--test", str(scans),
+                 "--seed", "-1"]) == 1
+    assert "error: seed must be >= 0" in capsys.readouterr().err
+
+
+def test_predictions_round_trip(tmp_path):
+    assignment = ClusterAssignment(
+        cluster_of=np.array([0, 0, 1, 2, 1], dtype=np.int64),
+        clusters=[[0, 1], [2, 4], [3]],
+    )
+    node_scores = np.array([0.25, 0.5, 1.0 / 3.0])
+    fp_scores = node_scores[assignment.cluster_of]
+    fp_labels = [INDOOR if s >= 0.5 else OUTDOOR for s in fp_scores]
+    pred = Prediction(node_scores, ["outdoor", "indoor", "outdoor"],
+                      fp_scores, fp_labels, 0.5)
+    path = tmp_path / "p.jsonl"
+    _write_predictions(path, pred, assignment)
+    back = _read_predictions(path, 0.5, 5)
+    assert np.array_equal(back.fp_scores, pred.fp_scores)
+    assert back.fp_labels == pred.fp_labels
+    assert np.array_equal(back.node_scores, pred.node_scores)
+    assert back.node_labels == pred.node_labels
+    # rows may come in any order
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(reversed(lines)) + "\n")
+    assert np.array_equal(_read_predictions(path, 0.5, 5).fp_scores, pred.fp_scores)
+
+
+GOOD_ROWS = [{"seq": i, "node": i, "score": 0.75, "label": "indoor"} for i in range(3)]
+
+
+@pytest.mark.parametrize("text", [
+    "not json",
+    '{"seq": 3, "node": 0, "score": 0.5}',                     # missing label
+    '{"seq": 3, "node": 0, "label": "indoor"}',                # missing score
+    '{"seq": 3, "node": 0, "score": "high", "label": "indoor"}',
+    '{"seq": 3, "node": -1, "score": 0.5, "label": "indoor"}',
+    '{"seq": 3, "node": 0, "score": 0.5, "label": "attic"}',
+    '[3, 0, 0.5, "indoor"]',
+    '{"seq": 4, "node": 0, "score": 0.5, "label": "indoor"}',  # seq gap
+    '{"seq": 2, "node": 0, "score": 0.5, "label": "indoor"}',  # seq repeated
+    "",                                                        # 3 rows for 4 scans
+    '{"seq": 3, "node": 0, "score": 0.5, "label": "indoor"}\n'
+    '{"seq": 4, "node": 0, "score": 0.5, "label": "indoor"}',  # 5 rows for 4 scans
+])
+def test_read_predictions_rejects(tmp_path, text):
+    path = tmp_path / "bad.jsonl"
+    lines = [json.dumps(r) for r in GOOD_ROWS] + [text]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(FormatError):
+        _read_predictions(path, 0.5, 4)
+
+
+@pytest.mark.parametrize("command", ["eval", "latency"])
+def test_malformed_predictions_exit_one(tmp_path, worlds, capsys, command):
+    a, b = worlds
+    prefix = tmp_path / "run"
+    assert main(["pipeline", "--train", str(a), "--test", str(b),
+                 "--out", str(prefix)]) == 0
+    preds = tmp_path / "run.preds.jsonl"
+    with open(preds, "a", encoding="utf-8") as f:
+        f.write("not json\n")
+    capsys.readouterr()
+    assert main([command, "--preds", str(preds), "--scans", str(b)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
+def test_self_loop_model_makes_predict_exit_one(tmp_path, worlds, capsys):
+    a, b = worlds
+    prefix = tmp_path / "run"
+    assert main(["pipeline", "--train", str(a), "--test", str(b),
+                 "--out", str(prefix)]) == 0
+    path = tmp_path / "run.model.json"
+    model = json.loads(path.read_text())
+    model["trees"][0]["left"][0] = 0
+    model["trees"][0]["right"][0] = 0
+    loop = tmp_path / "loop.model.json"
+    loop.write_text(json.dumps(model), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["predict", "--model", str(loop), "--scans", str(b),
+                 "--out", str(tmp_path / "p.jsonl")]) == 1
+    assert "error:" in capsys.readouterr().err

@@ -20,10 +20,12 @@ def test_postings_cover_shared_ap():
     assert list(index.postings[B]) == [1]
 
 
-def test_rank_cache_entry():
+def test_posting_ranks_entry():
     m = make_matrix([{A: -40, B: -60}])
     index = build_index(m)
-    assert index.rank_cache[0] == {A: 1.0, B: 2.0}
+    assert m.fingerprints[0].ranks() == {A: 1.0, B: 2.0}
+    assert list(index.posting_ranks[A]) == [1.0]
+    assert list(index.posting_ranks[B]) == [2.0]
     assert index.k[0] == 2
 
 
@@ -31,7 +33,7 @@ def test_all_empty_matrix():
     m = make_matrix([{}, {}, {}, {}])
     index = build_index(m)
     assert index.postings == {}
-    assert list(index.empty_runs) == [0, 1, 2, 3]
+    assert list(np.flatnonzero(index.empty_mask)) == [0, 1, 2, 3]
 
 
 def test_query_isolated_fingerprint():
@@ -75,10 +77,10 @@ def test_index_invariants(rng):
     index = build_index(m)
     for ap, lst in index.postings.items():
         assert all(a < b for a, b in zip(lst, lst[1:]))  # strictly ascending
-        for i in lst:
-            assert ap in m.fingerprints[i].powers
+        for i, r in zip(lst, index.posting_ranks[ap]):
+            assert m.fingerprints[i].ranks()[ap] == r
     for i, fp in enumerate(m.fingerprints):
-        ranks = index.rank_cache[i]
+        ranks = fp.ranks()
         assert set(ranks) == set(fp.powers)
         k = len(ranks)
         assert sum(ranks.values()) == k * (k + 1) / 2

@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wifi_inout.clustering import ClusterAssignment
 from wifi_inout.errors import (
@@ -239,3 +243,87 @@ def test_model_load_rejects_garbage(tmp_path):
     path.write_text("not json at all", encoding="utf-8")
     with pytest.raises(FormatError):
         Model.load(path)
+
+
+def _saved_model_dict(rng):
+    X, y, w = _separable(rng, n=40, p=3)
+    model = train_arrays(X, y, w, ["a", "b", "c"], kind=RANDOM_FOREST, seed=1,
+                         hyperparameters={"n_trees": 2})
+    return json.loads(model.to_json())
+
+
+def _self_loop(obj):
+    obj["trees"][0]["left"][0] = obj["trees"][0]["right"][0] = 0
+
+
+def _no_trees(obj):
+    obj["trees"] = []
+
+
+def _short_array(obj):
+    obj["trees"][0]["gain"].pop()
+
+
+def _no_nodes(obj):
+    obj["trees"][0] = {k: [] for k in obj["trees"][0]}
+
+
+def _leaf_with_child(obj):
+    t = obj["trees"][0]
+    leaf = t["feature"].index(-1)
+    t["left"][leaf] = len(t["feature"]) - 1
+
+
+def _internal_without_children(obj):
+    obj["trees"][0]["left"][0] = -1
+
+
+def _child_out_of_range(obj):
+    obj["trees"][0]["right"][0] = len(obj["trees"][0]["feature"])
+
+
+def _feature_out_of_range(obj):
+    obj["trees"][0]["feature"][0] = 3
+
+
+@pytest.mark.parametrize("mutate", [
+    _self_loop, _no_trees, _short_array, _no_nodes, _leaf_with_child,
+    _internal_without_children, _child_out_of_range, _feature_out_of_range,
+])
+def test_model_from_json_rejects_bad_structure(rng, mutate):
+    obj = _saved_model_dict(rng)
+    assert obj["trees"][0]["feature"][0] >= 0  # the root splits
+    Model.from_json(json.dumps(obj))
+    mutate(obj)
+    with pytest.raises(FormatError):
+        Model.from_json(json.dumps(obj))
+
+
+_node_ids = st.integers(min_value=-2, max_value=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(min_value=-2, max_value=3), _node_ids, _node_ids),
+                min_size=0, max_size=6))
+def test_loaded_trees_always_end(nodes):
+    """Any feature/left/right arrays either fail to load or form a tree
+    whose walks strictly descend, so Tree.apply ends."""
+    n = len(nodes)
+    tree = {
+        "feature": [f for f, _, _ in nodes],
+        "left": [l for _, l, _ in nodes],
+        "right": [r for _, _, r in nodes],
+        "threshold": [0.5] * n, "value": [0.0] * n, "gain": [0.0] * n,
+    }
+    text = json.dumps({"kind": RANDOM_FOREST, "seed": 0, "feature_names": ["a", "b", "c"],
+                       "hyperparameters": {}, "f0": 0.0, "trees": [tree]})
+    try:
+        model = Model.from_json(text)
+    except FormatError:
+        return
+    t = model.trees[0]
+    for i in range(t.n_nodes):
+        if t.feature[i] >= 0:
+            assert i < t.left[i] < t.n_nodes and i < t.right[i] < t.n_nodes
+    X = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 0.0]])
+    assert model.score(X).shape == (3,)

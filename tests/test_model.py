@@ -13,7 +13,6 @@ from wifi_inout.model import (
     ScanRecord,
     canonical_bssid,
     ingest,
-    is_empty,
     read_scan_log,
     rssi_to_power,
     write_scan_log,
@@ -50,9 +49,9 @@ def test_canonical_bssid_rejects(bad):
 
 
 def test_is_empty():
-    assert is_empty(Fingerprint(seq=0, powers={}))
+    assert Fingerprint(seq=0, powers={}).is_empty()
     f = Fingerprint(seq=1, powers={"aa:bb:cc:00:11:22": rssi_to_power(-90)})
-    assert not is_empty(f)
+    assert not f.is_empty()
 
 
 def test_ingest_counts():
