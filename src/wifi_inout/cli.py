@@ -36,7 +36,7 @@ from .features import (
 )
 from .fpindex import build_index
 from .graph import build_graph, write_graph
-from .learner import Model, Prediction, label_nodes, train_arrays
+from .learner import LabeledNode, Model, Prediction, label_nodes, train
 from .model import INDOOR, OUTDOOR, ingest, read_scan_log, write_scan_log
 from .synth import WorldSpec, generate, worldspec_from_file
 
@@ -79,11 +79,13 @@ def _node_labels(assignment, m, cfg) -> list:
     return node_labels
 
 
-def _write_json(obj, path: Optional[str]) -> None:
+def _write_jsonl(path: Optional[str], records) -> None:
+    """One JSON object per line, keys sorted; no file when path is unset."""
     if path:
         with open(path, "w", encoding="utf-8") as f:
-            f.write(json.dumps(obj, sort_keys=True))
-            f.write("\n")
+            for record in records:
+                f.write(json.dumps(record, sort_keys=True))
+                f.write("\n")
 
 
 # --- subcommand handlers ----------------------------------------------------
@@ -161,32 +163,26 @@ def cmd_select_dims(args) -> int:
         mark = "*" if e.selected else ""
         print(f"{e.name:<16} {e.coef:> 9.4f} {e.t_stat:> 8.3f} {e.p_value:> 9.5f}  {mark}")
     log(f"selected by family: {report.selected_by_family()}")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            for e in report.entries:
-                f.write(json.dumps({
-                    "name": e.name, "family": e.family, "d": e.d,
-                    "coef": e.coef, "t": e.t_stat, "p": e.p_value,
-                    "selected": e.selected, "constant": e.constant,
-                }, sort_keys=True))
-                f.write("\n")
+    _write_jsonl(args.out, [{
+        "name": e.name, "family": e.family, "d": e.d,
+        "coef": e.coef, "t": e.t_stat, "p": e.p_value,
+        "selected": e.selected, "constant": e.constant,
+    } for e in report.entries])
     return 0
 
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
     table, weights, labels = read_features_csv(args.features)
-    rows = [i for i, lab in enumerate(labels) if lab in (INDOOR, OUTDOOR)]
-    X = table.rows[rows]
-    y = np.array([1.0 if labels[i] == INDOOR else 0.0 for i in rows])
-    w = np.array([float(weights[i]) for i in rows])
-    model = train_arrays(
-        X, y, w, table.names,
+    nodes = [LabeledNode(i, lab, weights[i])
+             for i, lab in enumerate(labels) if lab is not None]
+    model = train(
+        table, nodes,
         kind=cfg.learner_kind(), seed=cfg.seed,
         hyperparameters=cfg.hyperparameters(),
     )
     model.save(args.out)
-    log(f"trained {model.kind} on {len(rows)} nodes -> {args.out}")
+    log(f"trained {model.kind} on {len(nodes)} nodes -> {args.out}")
     return 0
 
 
@@ -254,7 +250,7 @@ def cmd_eval(args) -> int:
     pred = _read_predictions(args.preds, cfg.threshold, m.T)
     report = evaluation.evaluate(pred, m.labels)
     _print_eval(report)
-    _write_json(report.to_dict(), args.out)
+    _write_jsonl(args.out, [dataclasses.asdict(report)])
     return 0
 
 
@@ -271,21 +267,11 @@ def cmd_latency(args) -> int:
         text = f"{mean:.2f}s" if mean is not None else "n/a"
         print(f"mean latency {direction}: {text}")
     print(f"missed fraction: {report.missed_fraction:.3f}")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            for s in report.switches:
-                f.write(json.dumps({
-                    "record": "switch", "index": s.index,
-                    "direction": s.direction, "latency_s": s.latency_s,
-                    "missed": s.missed,
-                }, sort_keys=True))
-                f.write("\n")
-            f.write(json.dumps({
-                "record": "summary",
-                "mean_latency_s": report.mean_latency_s,
-                "missed_fraction": report.missed_fraction,
-            }, sort_keys=True))
-            f.write("\n")
+    _write_jsonl(args.out, [
+        *({"record": "switch", **dataclasses.asdict(s)} for s in report.switches),
+        {"record": "summary", "mean_latency_s": report.mean_latency_s,
+         "missed_fraction": report.missed_fraction},
+    ])
     return 0
 
 
@@ -304,19 +290,13 @@ def cmd_xval(args) -> int:
               f"acc={report.pooled.accuracy:.4f} auc={pooled_auc}")
     for loc, reason in report.skipped.items():
         log(f"skipped fold {loc}: {reason}")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            for loc, rep in report.per_location.items():
-                f.write(json.dumps({"record": "fold", "location": loc,
-                                    **rep.to_dict()}, sort_keys=True))
-                f.write("\n")
-            f.write(json.dumps({
-                "record": "summary",
-                "mean_auc": report.mean_auc,
-                "pooled": report.pooled.to_dict() if report.pooled else None,
-                "skipped": report.skipped,
-            }, sort_keys=True))
-            f.write("\n")
+    _write_jsonl(args.out, [
+        *({"record": "fold", "location": loc, **dataclasses.asdict(rep)}
+          for loc, rep in report.per_location.items()),
+        {"record": "summary", "mean_auc": report.mean_auc,
+         "pooled": dataclasses.asdict(report.pooled) if report.pooled else None,
+         "skipped": report.skipped},
+    ])
     return 0
 
 
@@ -349,7 +329,7 @@ def cmd_pipeline(args) -> int:
     if args.out:
         model.save(f"{args.out}.model.json")
         _write_predictions(f"{args.out}.preds.jsonl", pred, stages.assignment)
-        _write_json(report.to_dict(), f"{args.out}.report.json")
+        _write_jsonl(f"{args.out}.report.json", [dataclasses.asdict(report)])
         log(f"artifacts -> {args.out}.model.json / .preds.jsonl / .report.json")
     return 0
 

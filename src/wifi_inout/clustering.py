@@ -1,11 +1,13 @@
 """Density clustering of fingerprints (eps = 0.22, min_pts = 1 defaults).
 
-With min_pts = 1 every point is a core point, so DBSCAN's density
-connectivity reduces to connected components of the eps-distance graph.
-The expansion below issues exactly one region query per fingerprint,
-which is the cheapest correct realization at these parameters. min_pts >
-1 runs standard DBSCAN semantics, except that noise points become
-singleton clusters so the transition graph stays total.
+One DBSCAN loop serves every min_pts (Ester et al., KDD 1996): a
+fingerprint with at least min_pts fingerprints within eps (itself
+included) is a core point, and a cluster is everything density-reachable
+from a core point. With the default min_pts = 1 every fingerprint is
+core, so the clusters are the connected components of the eps-distance
+graph. Each fingerprint is region-queried at most once, and exactly once
+at min_pts = 1. Noise points become singleton clusters so the partition
+stays total and the transition graph covers every scan.
 """
 
 from __future__ import annotations
@@ -62,6 +64,15 @@ def _canonical(labels: np.ndarray) -> ClusterAssignment:
     return ClusterAssignment(cluster_of=cluster_of, clusters=clusters)
 
 
+def _claim(labels: np.ndarray, neigh: np.ndarray, label: int) -> np.ndarray:
+    """Give `label` to the unvisited and noise points of a core point's
+    neighbourhood (noise becomes a border point); return the unvisited ones."""
+    neigh = neigh[labels[neigh] < 0]
+    fresh = neigh[labels[neigh] == -1]
+    labels[neigh] = label
+    return fresh
+
+
 def cluster(
     m: FingerprintMatrix,
     params: ClusterParams,
@@ -70,56 +81,37 @@ def cluster(
 ) -> ClusterAssignment:
     """Partition all T fingerprints; no point is left as noise.
 
+    Every fingerprint is region-queried at most once. An unvisited start
+    with fewer than min_pts neighbours is marked noise; otherwise it seeds
+    a cluster, which claims every unvisited or noise point in its core
+    points' neighbourhoods. Claimed noise is a border point; noise left at
+    the end becomes a singleton cluster.
+
     `order` permutes the expansion order (testing hook); it may change
     intermediate labels but never the resulting partition for min_pts=1.
     """
     params.validate()
-    T = m.T
-    labels = np.full(T, -1, dtype=np.int64)
-    scan_order = range(T) if order is None else order
-
-    if params.min_pts == 1:
-        next_label = 0
-        for start in scan_order:
-            if labels[start] >= 0:
-                continue
-            labels[start] = next_label
-            frontier = deque([start])
-            while frontier:
-                p = frontier.popleft()
-                for nb in region_query_arr(p, params.eps, index, m):
-                    if labels[nb] < 0:
-                        labels[nb] = next_label
-                        frontier.append(int(nb))
-            next_label += 1
-        return _canonical(labels)
-
-    # standard DBSCAN for min_pts > 1; -2 marks tentative noise
+    labels = np.full(m.T, -1, dtype=np.int64)  # -1 unvisited, -2 noise
     next_label = 0
-    for start in scan_order:
+    for start in range(m.T) if order is None else order:
         if labels[start] != -1:
             continue
         neigh = region_query_arr(start, params.eps, index, m)
         if len(neigh) < params.min_pts:
             labels[start] = -2
             continue
-        labels[start] = next_label
-        frontier = deque(int(i) for i in neigh)
+        labels[start] = next_label  # before its own array, so it is not re-queried
+        # claimed points still to query; claiming a core point's array when it
+        # is queried, not when it is dequeued, keeps the queue within T entries
+        frontier = deque([_claim(labels, neigh, next_label)])
         while frontier:
-            p = frontier.popleft()
-            if labels[p] == -2:
-                labels[p] = next_label  # border point claimed by this cluster
-            if labels[p] != -1:
-                continue
-            labels[p] = next_label
-            p_neigh = region_query_arr(p, params.eps, index, m)
-            if len(p_neigh) >= params.min_pts:
-                frontier.extend(int(i) for i in p_neigh)
+            for p in frontier.popleft():
+                p_neigh = region_query_arr(int(p), params.eps, index, m)
+                if len(p_neigh) >= params.min_pts:
+                    frontier.append(_claim(labels, p_neigh, next_label))
         next_label += 1
-    for i in range(T):
-        if labels[i] == -2:  # residual noise becomes a singleton cluster
-            labels[i] = next_label
-            next_label += 1
+    noise = labels == -2
+    labels[noise] = next_label + np.arange(np.count_nonzero(noise))
     return _canonical(labels)
 
 

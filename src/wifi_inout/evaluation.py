@@ -61,18 +61,6 @@ class EvalReport:
     fn: int
     n_evaluated: int
 
-    def to_dict(self) -> Dict:
-        return {
-            "accuracy": self.accuracy,
-            "auc": self.auc,
-            "indoor_prior": self.indoor_prior,
-            "tp": self.tp,
-            "fp": self.fp,
-            "tn": self.tn,
-            "fn": self.fn,
-            "n_evaluated": self.n_evaluated,
-        }
-
 
 def evaluate(pred: Prediction, labels: Sequence[Optional[str]]) -> EvalReport:
     """Metrics over labeled fingerprints; AUC omitted when only one class
@@ -123,21 +111,6 @@ class SwitchLatencyReport:
     switches: List[SwitchRecord]
     mean_latency_s: Dict[str, Optional[float]] = field(default_factory=dict)
     missed_fraction: float = 0.0
-
-    def to_dict(self) -> Dict:
-        return {
-            "switches": [
-                {
-                    "index": s.index,
-                    "direction": s.direction,
-                    "latency_s": s.latency_s,
-                    "missed": s.missed,
-                }
-                for s in self.switches
-            ],
-            "mean_latency_s": self.mean_latency_s,
-            "missed_fraction": self.missed_fraction,
-        }
 
 
 def switch_latency(
@@ -194,14 +167,6 @@ class XvalReport:
     pooled: Optional[EvalReport] = None
     # folds whose removal left a single training class, with the reason
     skipped: Dict[str, str] = field(default_factory=dict)
-
-    def to_dict(self) -> Dict:
-        return {
-            "per_location": {k: v.to_dict() for k, v in self.per_location.items()},
-            "mean_auc": self.mean_auc,
-            "pooled": self.pooled.to_dict() if self.pooled else None,
-            "skipped": self.skipped,
-        }
 
 
 def location_cross_validation(m: FingerprintMatrix, config) -> XvalReport:
@@ -282,14 +247,6 @@ class WarmupEntry:
 class WarmupReport:
     entries: List[WarmupEntry]
 
-    def to_dict(self) -> Dict:
-        return {
-            "entries": [
-                {"minute": e.minute, "accuracy": e.accuracy, "n": e.n_evaluated}
-                for e in self.entries
-            ]
-        }
-
 
 def warmup_eval(
     model: Model,
@@ -303,7 +260,7 @@ def warmup_eval(
     Minute boundaries start at the first fingerprint's timestamp; the
     report truncates at the last minute that actually contains data.
     """
-    from .pipeline import build_stages  # imported here to avoid a cycle
+    from .pipeline import score  # imported here to avoid a cycle
 
     if m.T == 0:
         raise EmptyPrefixError("scenario contains no fingerprints")
@@ -314,12 +271,7 @@ def warmup_eval(
         n = bisect_left(m.timestamps_ms, t0 + minute * 60000)
         if n == 0:
             raise EmptyPrefixError("no fingerprints in the first minute")
-        pm = m.prefix(n)
-        stages = build_stages(pm, config)
-        pred = predict(model, stages.features, stages.assignment, config.threshold)
-        idx = [i for i in range(n) if pm.labels[i] in (INDOOR, OUTDOOR)]
-        if not idx:
-            raise NoLabelsError(f"no labeled fingerprints in minutes 1..{minute}")
-        correct = sum(1 for i in idx if pred.fp_labels[i] == pm.labels[i])
-        entries.append(WarmupEntry(minute, correct / len(idx), len(idx)))
+        pred, _ = score(m.prefix(n), model, config)
+        report = evaluate(pred, m.labels[:n])
+        entries.append(WarmupEntry(minute, report.accuracy, report.n_evaluated))
     return WarmupReport(entries)

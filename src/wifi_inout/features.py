@@ -260,8 +260,9 @@ def read_features_csv(path) -> Tuple[FeatureTable, List[int], List[Optional[str]
             if lab not in ("", INDOOR, OUTDOOR):
                 raise FormatError(f"bad label in feature CSV: {lab!r}")
             labels.append(lab if lab else None)
-    return (
-        FeatureTable(names=names, rows=np.array(rows, dtype=np.float64)),
-        weights,
-        labels,
-    )
+    table = FeatureTable(names=names, rows=np.array(rows, dtype=np.float64))
+    if not np.isfinite(table.rows).all():
+        raise FormatError("feature CSV holds a non-finite value")
+    if any(w < 1 for w in weights):
+        raise FormatError("feature CSV weights must be >= 1")
+    return table, weights, labels

@@ -139,6 +139,10 @@ class Model:
             raise FormatError(f"unknown model kind {model.kind!r}")
         if not model.trees:
             raise FormatError("model has no trees")
+        if model.kind == GBM:
+            lr = model.hyperparameters.get("learning_rate")
+            if isinstance(lr, bool) or not isinstance(lr, (int, float)) or not 0 < lr < math.inf:
+                raise FormatError(f"gbm model needs a finite learning_rate > 0, got {lr!r}")
         for tree in model.trees:
             tree.check(len(model.feature_names))
         return model

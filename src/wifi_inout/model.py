@@ -211,7 +211,12 @@ def ingest(stream: Iterable[ScanRecord]) -> FingerprintMatrix:
                 raise FormatError(f"record {i}: RSSI must be an integer, got {rssi!r}")
             if ap in powers:
                 raise DuplicateApError(f"record {i}: duplicate AP {ap}")
-            powers[ap] = rssi_to_power(rssi)
+            try:
+                powers[ap] = rssi_to_power(rssi)
+            except OverflowError as e:
+                raise FormatError(f"record {i}: RSSI {rssi} dBm overflows linear power") from e
+            if powers[ap] == 0.0:
+                raise FormatError(f"record {i}: RSSI {rssi} dBm underflows to power 0")
             dbm[ap] = rssi
         universe.update(powers)
         fingerprints.append(Fingerprint(seq=i, powers=powers, rssi_dbm=dbm))

@@ -350,3 +350,39 @@ def test_self_loop_model_makes_predict_exit_one(tmp_path, worlds, capsys):
     assert main(["predict", "--model", str(loop), "--scans", str(b),
                  "--out", str(tmp_path / "p.jsonl")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_gbm_model_without_learning_rate_makes_predict_exit_one(tmp_path, worlds, capsys):
+    a, b = worlds
+    prefix = tmp_path / "run"
+    assert main(["pipeline", "--train", str(a), "--test", str(b), "--learner", "gbm",
+                 "--out", str(prefix)]) == 0
+    model = json.loads((tmp_path / "run.model.json").read_text())
+    del model["hyperparameters"]["learning_rate"]
+    bad = tmp_path / "nolr.model.json"
+    bad.write_text(json.dumps(model), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["predict", "--model", str(bad), "--scans", str(b),
+                 "--out", str(tmp_path / "p.jsonl")]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("column, value", [(0, "nan"), (0, "inf"), (-2, "-5")])
+def test_train_rejects_bad_feature_csv_values(tmp_path, worlds, capsys, column, value):
+    a, _ = worlds
+    clusters = tmp_path / "a.clusters.jsonl"
+    features = tmp_path / "a.features.csv"
+    assert main(["cluster", "--scans", str(a), "--out", str(clusters)]) == 0
+    assert main(["features", "--scans", str(a), "--clusters", str(clusters),
+                 "--out", str(features)]) == 0
+    lines = features.read_text(encoding="utf-8").splitlines()
+    fields = lines[1].split(",")
+    fields[column] = value
+    lines[1] = ",".join(fields)
+    features.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    model = tmp_path / "a.model.json"
+    assert main(["train", "--features", str(features), "--out", str(model)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not model.exists()

@@ -1,18 +1,24 @@
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wifi_inout import clustering
 from wifi_inout.clustering import (
     ClusterParams,
+    _canonical,
     cluster,
     read_assignment,
     singleton_assignment,
     write_assignment,
 )
 from wifi_inout.errors import ConfigError, FormatError
-from wifi_inout.fpindex import build_index
+from wifi_inout.fpindex import build_index, region_query_arr
 from wifi_inout.distance import distance
 
-from conftest import make_matrix, random_scan_matrix
+from conftest import mac, make_matrix, random_scan_matrix
 from oracles import canonical_partition, connected_components_partition
 
 A = "0a:00:00:00:00:01"
@@ -100,6 +106,77 @@ def test_min_pts_larger_than_any_neighborhood(rng):
     index = build_index(m)
     assignment = cluster(m, ClusterParams(eps=0.0, min_pts=50), index)
     assert assignment.n_clusters == m.T  # everything is noise -> singletons
+
+
+def reference_dbscan(m, params, index, order=None):
+    """Textbook DBSCAN, point by point (-2 marks tentative noise); residual
+    noise becomes singleton clusters."""
+    T = m.T
+    labels = np.full(T, -1, dtype=np.int64)
+    scan_order = range(T) if order is None else order
+    next_label = 0
+    for start in scan_order:
+        if labels[start] != -1:
+            continue
+        neigh = region_query_arr(start, params.eps, index, m)
+        if len(neigh) < params.min_pts:
+            labels[start] = -2
+            continue
+        labels[start] = next_label
+        frontier = deque(int(i) for i in neigh)
+        while frontier:
+            p = frontier.popleft()
+            if labels[p] == -2:
+                labels[p] = next_label  # border point claimed by this cluster
+            if labels[p] != -1:
+                continue
+            labels[p] = next_label
+            p_neigh = region_query_arr(p, params.eps, index, m)
+            if len(p_neigh) >= params.min_pts:
+                frontier.extend(int(i) for i in p_neigh)
+        next_label += 1
+    for i in range(T):
+        if labels[i] == -2:
+            labels[i] = next_label
+            next_label += 1
+    return _canonical(labels)
+
+
+_scans = st.lists(
+    st.dictionaries(st.integers(0, 5).map(mac), st.integers(-70, -40), max_size=4),
+    min_size=1, max_size=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scans, st.floats(0.0, 1.5), st.integers(1, 6), st.booleans(), st.randoms())
+def test_cluster_matches_reference_dbscan(scans, eps, min_pts, permute, rnd):
+    m = make_matrix(scans)
+    index = build_index(m)
+    order = rnd.sample(range(m.T), m.T) if permute else None
+    params = ClusterParams(eps=eps, min_pts=min_pts)
+    expected = reference_dbscan(m, params, index, order)
+    assert np.array_equal(cluster(m, params, index, order).cluster_of, expected.cluster_of)
+
+
+def test_each_fingerprint_is_queried_at_most_once(rng, monkeypatch):
+    m = random_scan_matrix(rng, 200, ap_pool=20, empty_prob=0.1)
+    index = build_index(m)
+    queried = []
+
+    def counting(q, *args):
+        queried.append(int(q))
+        return region_query_arr(q, *args)
+
+    monkeypatch.setattr(clustering, "region_query_arr", counting)
+    for eps in (0.0, 0.22, 0.5):
+        queried.clear()
+        cluster(m, ClusterParams(eps=eps), index)
+        assert sorted(queried) == list(range(m.T))  # exactly once at min_pts = 1
+        for min_pts in (2, 3, 6):
+            queried.clear()
+            cluster(m, ClusterParams(eps=eps, min_pts=min_pts), index)
+            assert len(queried) == len(set(queried))
 
 
 def test_config_validation():

@@ -240,7 +240,7 @@ def test_xval_fold_matches_manual_fold():
     held = [lab if m.locations[i] == loc else None
             for i, lab in enumerate(m.labels)]
     manual = eval_fn(pred, held)
-    assert report.per_location[loc].to_dict() == manual.to_dict()
+    assert report.per_location[loc] == manual
 
 
 def test_xval_heldout_labels_cannot_poison_training():

@@ -103,6 +103,13 @@ def test_ingest_bad_label_and_rssi():
         ingest(recs2)
 
 
+@pytest.mark.parametrize("rssi", [4000, -4000])
+def test_ingest_rejects_rssi_without_finite_positive_power(rssi):
+    recs = make_records([{"0a:00:00:00:00:01": rssi}])
+    with pytest.raises(FormatError):
+        ingest(recs)
+
+
 def test_ingest_carries_labels_and_locations():
     m = make_matrix(
         [{"0a:00:00:00:00:01": -40}, {}],
