@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -64,12 +64,17 @@ def _canonical(labels: np.ndarray) -> ClusterAssignment:
     return ClusterAssignment(cluster_of=cluster_of, clusters=clusters)
 
 
-def _claim(labels: np.ndarray, neigh: np.ndarray, label: int) -> np.ndarray:
+def _claim(
+    labels: np.ndarray, live: Optional[np.ndarray], neigh: np.ndarray, label: int
+) -> np.ndarray:
     """Give `label` to the unvisited and noise points of a core point's
-    neighbourhood (noise becomes a border point); return the unvisited ones."""
+    neighbourhood (noise becomes a border point); return the unvisited ones.
+    Claimed points leave `live`, when there is one."""
     neigh = neigh[labels[neigh] < 0]
     fresh = neigh[labels[neigh] == -1]
     labels[neigh] = label
+    if live is not None:
+        live[neigh] = False
     return fresh
 
 
@@ -89,26 +94,40 @@ def cluster(
 
     `order` permutes the expansion order (testing hook); it may change
     intermediate labels but never the resulting partition for min_pts=1.
+
+    At min_pts = 1 a labelled point can never change its label, so the
+    queries skip labelled points (`live` is the unlabelled ones) and drop
+    them from the postings they read. They do so on a private copy of
+    `index`; the caller's index is left unchanged. At min_pts > 1 every
+    neighbour counts towards the core test, so nothing is skipped.
     """
     params.validate()
     labels = np.full(m.T, -1, dtype=np.int64)  # -1 unvisited, -2 noise
+    live = None
+    if params.min_pts == 1:
+        live = np.ones(m.T, dtype=bool)
+        index = replace(
+            index, postings=dict(index.postings), posting_ranks=dict(index.posting_ranks)
+        )
     next_label = 0
     for start in range(m.T) if order is None else order:
         if labels[start] != -1:
             continue
-        neigh = region_query_arr(start, params.eps, index, m)
+        neigh = region_query_arr(start, params.eps, index, m, live)
         if len(neigh) < params.min_pts:
             labels[start] = -2
             continue
         labels[start] = next_label  # before its own array, so it is not re-queried
+        if live is not None:
+            live[start] = False
         # claimed points still to query; claiming a core point's array when it
         # is queried, not when it is dequeued, keeps the queue within T entries
-        frontier = deque([_claim(labels, neigh, next_label)])
+        frontier = deque([_claim(labels, live, neigh, next_label)])
         while frontier:
             for p in frontier.popleft():
-                p_neigh = region_query_arr(int(p), params.eps, index, m)
+                p_neigh = region_query_arr(int(p), params.eps, index, m, live)
                 if len(p_neigh) >= params.min_pts:
-                    frontier.append(_claim(labels, p_neigh, next_label))
+                    frontier.append(_claim(labels, live, p_neigh, next_label))
         next_label += 1
     noise = labels == -2
     labels[noise] = next_label + np.arange(np.count_nonzero(noise))

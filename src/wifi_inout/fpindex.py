@@ -11,12 +11,18 @@ Empty fingerprints never share an AP, yet an empty pair at adjacent
 stream positions has distance 0; `empty_mask` marks the empty positions
 and makes those pairs reachable, since AP postings alone can never
 surface them.
+
+A query given a `live` mask skips every fingerprint the mask clears and
+drops those entries from the postings it reads, so later queries on the
+same index never read them again. Only a private copy of an index that
+one caller owns may be queried that way (see `region_query_arr`); every
+other index is left as `build_index` made it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Set
+from typing import Dict, List, Optional, Set
 
 import numpy as np
 
@@ -26,7 +32,8 @@ from .model import FingerprintMatrix
 
 @dataclass
 class FingerprintIndex:
-    """Immutable index artifacts over one fingerprint matrix."""
+    """Index artifacts over one fingerprint matrix; only a query with a
+    `live` mask rewrites `postings` and `posting_ranks`."""
 
     postings: Dict[str, np.ndarray]       # AP -> ascending fingerprint indices
     posting_ranks: Dict[str, np.ndarray]  # parallel: rank of the AP in that fingerprint
@@ -69,20 +76,30 @@ def build_index(m: FingerprintMatrix) -> FingerprintIndex:
     )
 
 
-def _candidate_distances(q: int, index: FingerprintIndex, m: FingerprintMatrix):
-    """All fingerprints sharing an AP with non-empty query q, with exact
-    distances. Returns (candidate indices, distances) as arrays."""
+def _candidate_distances(
+    q: int, index: FingerprintIndex, m: FingerprintMatrix, live: Optional[np.ndarray] = None
+):
+    """All (live) fingerprints sharing an AP with non-empty query q, with
+    exact distances. Returns (candidate indices, distances) as arrays.
+    With `live`, a posting list holding non-live entries is replaced in
+    `index` by its live part."""
     ranks_q = m.fingerprints[q].ranks()
     chunks_idx = []
-    chunks_rq = []
     chunks_rc = []
-    for ap, rq in ranks_q.items():
+    for ap in ranks_q:
         arr = index.postings[ap]
+        rc = index.posting_ranks[ap]
+        if live is not None:
+            keep = live[arr]
+            if not keep.all():
+                arr = index.postings[ap] = arr[keep]
+                rc = index.posting_ranks[ap] = rc[keep]
         chunks_idx.append(arr)
-        chunks_rc.append(index.posting_ranks[ap])
-        chunks_rq.append(np.full(len(arr), rq))
+        chunks_rc.append(rc)
     cand = np.concatenate(chunks_idx)
-    rq = np.concatenate(chunks_rq)
+    rq = np.repeat(
+        np.fromiter(ranks_q.values(), float, len(ranks_q)), [len(a) for a in chunks_idx]
+    )
     rc = np.concatenate(chunks_rc)
 
     uniq, inv = np.unique(cand, return_inverse=True)
@@ -117,9 +134,22 @@ def _candidate_distances(q: int, index: FingerprintIndex, m: FingerprintMatrix):
 
 
 def region_query_arr(
-    q: int, eps: float, index: FingerprintIndex, m: FingerprintMatrix
+    q: int,
+    eps: float,
+    index: FingerprintIndex,
+    m: FingerprintMatrix,
+    live: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Indices of all fingerprints within eps of fingerprint q (array form)."""
+    """Indices of all fingerprints within eps of fingerprint q (array form).
+
+    With a bool mask `live` over the T fingerprints, only live ones are
+    returned, and the non-live entries of the postings this query reads
+    are removed from `index` for good. That is sound only while `live`
+    only ever shrinks across queries on `index` (a fingerprint once
+    cleared is never set again), and only on an index no other caller
+    reads: pass a copy whose `postings` and `posting_ranks` dicts are
+    the caller's own.
+    """
     T = index.T
     if not 0 <= q < T:
         raise IndexRangeError(f"query index {q} out of range [0, {T})")
@@ -127,9 +157,11 @@ def region_query_arr(
         raise ConfigError(f"eps must be in [0, 2), got {eps}")
     if index.empty_mask[q]:
         lo, hi = max(0, q - 1), min(T, q + 2)
-        window = np.arange(lo, hi)
-        return window[index.empty_mask[lo:hi]]
-    uniq, dist = _candidate_distances(q, index, m)
+        keep = index.empty_mask[lo:hi]
+        if live is not None:
+            keep = keep & live[lo:hi]
+        return np.arange(lo, hi)[keep]
+    uniq, dist = _candidate_distances(q, index, m, live)
     return uniq[dist <= eps]
 
 

@@ -139,6 +139,8 @@ class Model:
             raise FormatError(f"unknown model kind {model.kind!r}")
         if not model.trees:
             raise FormatError("model has no trees")
+        if not math.isfinite(model.f0):
+            raise FormatError(f"model f0 must be finite, got {model.f0!r}")
         if model.kind == GBM:
             lr = model.hyperparameters.get("learning_rate")
             if isinstance(lr, bool) or not isinstance(lr, (int, float)) or not 0 < lr < math.inf:

@@ -35,17 +35,22 @@ class Tree:
         return len(self.feature)
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        """Leaf node id per row (x <= threshold routes left)."""
-        out = np.zeros(len(X), dtype=np.int64)
-        for i, row in enumerate(X):
-            node = 0
-            while self.feature[node] >= 0:
-                if row[self.feature[node]] <= self.threshold[node]:
-                    node = self.left[node]
-                else:
-                    node = self.right[node]
-            out[i] = node
-        return out
+        """Leaf node id per row (x <= threshold routes left).
+
+        All rows descend together, one tree level per pass: rows that
+        reached a leaf drop out, the rest take one step in one vectorized
+        comparison. Children come after their parent (`check`, `grow_tree`),
+        so every row reaches a leaf within n_nodes passes.
+        """
+        node = np.zeros(len(X), dtype=np.int64)
+        rows = np.arange(len(X))
+        while rows.size:
+            at = node[rows]
+            inner = self.feature[at] >= 0
+            rows, at = rows[inner], at[inner]
+            left = X[rows, self.feature[at]] <= self.threshold[at]
+            node[rows] = np.where(left, self.left[at], self.right[at])
+        return node
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.value[self.apply(X)]
@@ -66,6 +71,9 @@ class Tree:
         for child in (self.left[parent], self.right[parent]):
             if ((child <= parent) | (child >= n)).any():
                 raise FormatError("a child node must come after its parent, inside the tree")
+        for name in ("threshold", "value", "gain"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise FormatError(f"tree {name} array holds a non-finite value")
 
     def to_dict(self) -> dict:
         return {

@@ -368,6 +368,32 @@ def test_gbm_model_without_learning_rate_makes_predict_exit_one(tmp_path, worlds
     assert "error:" in err and "Traceback" not in err
 
 
+def _nan_f0(model):
+    model["f0"] = float("nan")
+
+
+def _nan_leaf_value(model):
+    tree = model["trees"][0]
+    tree["value"][tree["feature"].index(-1)] = float("nan")
+
+
+@pytest.mark.parametrize("learner, corrupt", [("gbm", _nan_f0), ("rf", _nan_leaf_value)])
+def test_non_finite_model_makes_predict_exit_one(tmp_path, worlds, capsys, learner, corrupt):
+    a, b = worlds
+    prefix = tmp_path / "run"
+    assert main(["pipeline", "--train", str(a), "--test", str(b), "--learner", learner,
+                 "--out", str(prefix)]) == 0
+    model = json.loads((tmp_path / "run.model.json").read_text())
+    corrupt(model)
+    bad = tmp_path / "nan.model.json"
+    bad.write_text(json.dumps(model), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["predict", "--model", str(bad), "--scans", str(b),
+                 "--out", str(tmp_path / "p.jsonl")]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("column, value", [(0, "nan"), (0, "inf"), (-2, "-5")])
 def test_train_rejects_bad_feature_csv_values(tmp_path, worlds, capsys, column, value):
     a, _ = worlds

@@ -179,6 +179,28 @@ def test_each_fingerprint_is_queried_at_most_once(rng, monkeypatch):
             assert len(queried) == len(set(queried))
 
 
+def test_cluster_leaves_caller_index_unchanged(rng):
+    m = random_scan_matrix(rng, 200, ap_pool=20, empty_prob=0.1)
+    index = build_index(m)
+    postings, ranks = dict(index.postings), dict(index.posting_ranks)
+    copies = {ap: (a.copy(), ranks[ap].copy()) for ap, a in postings.items()}
+    cluster(m, ClusterParams(eps=0.5), index)
+    assert index.postings.keys() == postings.keys()
+    for ap, (a, r) in copies.items():
+        assert index.postings[ap] is postings[ap] and index.posting_ranks[ap] is ranks[ap]
+        assert np.array_equal(postings[ap], a) and np.array_equal(ranks[ap], r)
+
+
+def test_repeated_cluster_on_one_index(rng):
+    m = random_scan_matrix(rng, 200, ap_pool=20, empty_prob=0.1)
+    index = build_index(m)
+    first = cluster(m, ClusterParams(eps=0.22), index)
+    wide = cluster(m, ClusterParams(eps=0.5), index)
+    again = cluster(m, ClusterParams(eps=0.22), index)
+    assert np.array_equal(first.cluster_of, again.cluster_of)
+    assert canonical_partition(wide) == connected_components_partition(m, 0.5)
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         ClusterParams(eps=2.0).validate()

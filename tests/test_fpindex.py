@@ -1,11 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wifi_inout.errors import ConfigError, IndexRangeError
-from wifi_inout.fpindex import build_index, region_query
+from wifi_inout.fpindex import build_index, region_query, region_query_arr
 from wifi_inout.distance import distance
 
-from conftest import make_matrix, random_scan_matrix
+from conftest import mac, make_matrix, random_scan_matrix
 from oracles import region_scan
 
 A = "0a:00:00:00:00:01"
@@ -111,3 +115,39 @@ def test_pruning_soundness(rng):
         for i in range(m.T):
             if i not in candidates:
                 assert distance(fq, m.fingerprints[i], q, i).value == 2.0
+
+
+_scans = st.lists(
+    st.dictionaries(st.integers(0, 5).map(mac), st.integers(-70, -40), max_size=4),
+    min_size=1, max_size=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _scans,
+    st.floats(0.0, 1.5),
+    st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 3)), max_size=40),
+    st.randoms(),
+)
+def test_live_query_equals_filtered_query(scans, eps, steps, rnd):
+    """Queries with a shrinking `live` mask on one private copy return the
+    unmasked result filtered by `live`; the shared index is left alone."""
+    m = make_matrix(scans)
+    index = build_index(m)
+    before = {ap: a.copy() for ap, a in index.postings.items()}
+    private = replace(index, postings=dict(index.postings),
+                      posting_ranks=dict(index.posting_ranks))
+    live = np.ones(m.T, dtype=bool)
+    settle = rnd.sample(range(m.T), m.T)  # the order fingerprints leave `live`
+    for raw_q, n_settled in steps:
+        live[settle[:n_settled]] = False
+        del settle[:n_settled]
+        q = raw_q % m.T
+        full = region_query_arr(q, eps, index, m)
+        assert np.array_equal(region_query_arr(q, eps, private, m, live), full[live[full]])
+    for ap, a in private.postings.items():
+        assert np.array_equal(private.posting_ranks[ap],
+                              index.posting_ranks[ap][np.isin(index.postings[ap], a)])
+    assert index.postings.keys() == before.keys()
+    assert all(np.array_equal(index.postings[ap], a) for ap, a in before.items())
