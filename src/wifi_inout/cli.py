@@ -18,13 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import evaluation, pipeline
-from .clustering import (
-    ClusterAssignment,
-    ClusterParams,
-    cluster,
-    read_assignment,
-    write_assignment,
-)
+from .clustering import ClusterAssignment, read_assignment, write_assignment
 from .config import PipelineConfig, config_from_file, config_with_overrides
 from .errors import FormatError, WifiInoutError
 from .features import (
@@ -34,9 +28,8 @@ from .features import (
     select_neighborhood_sizes,
     write_features_csv,
 )
-from .fpindex import build_index
 from .graph import build_graph, write_graph
-from .learner import LabeledNode, Model, Prediction, label_nodes, train
+from .learner import LabeledNode, Model, Prediction, label_nodes
 from .model import INDOOR, OUTDOOR, ingest, read_scan_log, write_scan_log
 from .synth import WorldSpec, generate, worldspec_from_file
 
@@ -115,8 +108,7 @@ def cmd_ingest(args) -> int:
 def cmd_cluster(args) -> int:
     cfg = _load_config(args)
     m = _load_matrix(args.scans)
-    index = build_index(m)
-    assignment = cluster(m, ClusterParams(cfg.eps, cfg.min_pts), index)
+    assignment = pipeline.partition(m, cfg)
     write_assignment(assignment, args.out)
     log(f"clusters C={assignment.n_clusters} (eps={cfg.eps}, min_pts={cfg.min_pts}) "
         f"mean_fp_per_cluster={m.T / assignment.n_clusters:.1f} -> {args.out}")
@@ -150,8 +142,7 @@ def cmd_features(args) -> int:
 def cmd_select_dims(args) -> int:
     cfg = _load_config(args)
     m = _load_matrix(args.scans)
-    index = build_index(m)
-    assignment = cluster(m, ClusterParams(cfg.eps, cfg.min_pts), index)
+    assignment = pipeline.partition(m, cfg)
     g = build_graph(assignment, m, cfg.max_gap_ms)
     table = neighborhood_feature_grid(g, m, max_d=args.max_d)
     report = select_neighborhood_sizes(table, _node_labels(assignment, m, cfg))
@@ -176,11 +167,7 @@ def cmd_train(args) -> int:
     table, weights, labels = read_features_csv(args.features)
     nodes = [LabeledNode(i, lab, weights[i])
              for i, lab in enumerate(labels) if lab is not None]
-    model = train(
-        table, nodes,
-        kind=cfg.learner_kind(), seed=cfg.seed,
-        hyperparameters=cfg.hyperparameters(),
-    )
+    model = pipeline.train_model(table, nodes, cfg)
     model.save(args.out)
     log(f"trained {model.kind} on {len(nodes)} nodes -> {args.out}")
     return 0

@@ -7,6 +7,7 @@ indoor-favoring tie breaks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional, get_args, get_type_hints
 
@@ -94,8 +95,8 @@ class PipelineConfig:
             value = getattr(self, name)
             if value is not None and value < lo:  # None: an unset Optional
                 raise ConfigError(f"{name} must be >= {lo}, got {value}")
-        if not self.learning_rate > 0.0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.learner not in ("rf", "gbm"):
             raise ConfigError(f"learner must be rf or gbm, got {self.learner!r}")
         if not 0.0 <= self.threshold <= 1.0:

@@ -22,7 +22,7 @@ from .errors import (
     NoTransitionsError,
     SingleLocationError,
 )
-from .learner import Model, Prediction, label_nodes, predict, train
+from .learner import Model, Prediction, label_nodes, predict
 from .model import INDOOR, OUTDOOR, FingerprintMatrix
 
 MISSED_LATENCY_S = 500.0  # a switch detected later than this counts as missed
@@ -176,7 +176,7 @@ def location_cross_validation(m: FingerprintMatrix, config) -> XvalReport:
     held-out location only withholds its labels from node voting and
     model training, then gets scored and evaluated.
     """
-    from .pipeline import build_stages  # imported here to avoid a cycle
+    from .pipeline import build_stages, train_model  # imported here to avoid a cycle
 
     locations = sorted({loc for loc in m.locations if loc})
     if len(locations) < 2:
@@ -197,12 +197,7 @@ def location_cross_validation(m: FingerprintMatrix, config) -> XvalReport:
         ]
         labeled, _ = label_nodes(stages.assignment, train_labels, config.tie_rule)
         try:
-            model = train(
-                stages.features, labeled,
-                kind=config.learner_kind(),
-                seed=config.seed,
-                hyperparameters=config.hyperparameters(),
-            )
+            model = train_model(stages.features, labeled, config)
         except DegenerateLabelsError as e:
             skipped[loc] = str(e)  # this fold held the only examples of a class
             continue

@@ -20,8 +20,12 @@ from .model import FingerprintMatrix
 @dataclass
 class TransitionGraph:
     adjacency: List[Set[int]]       # node -> neighbor set (symmetric, no loops)
-    node_weight: List[int]          # node -> member fingerprint count
-    node_members: List[List[int]]   # node -> fingerprint indices
+    node_members: List[List[int]]   # node -> fingerprint indices (the partition's lists)
+
+    @property
+    def node_weight(self) -> List[int]:
+        """node -> member fingerprint count"""
+        return [len(c) for c in self.node_members]
 
     @property
     def n_nodes(self) -> int:
@@ -65,11 +69,7 @@ def build_graph(
             continue
         adjacency[u].add(v)
         adjacency[v].add(u)
-    return TransitionGraph(
-        adjacency=adjacency,
-        node_weight=[len(c) for c in assignment.clusters],
-        node_members=[list(c) for c in assignment.clusters],
-    )
+    return TransitionGraph(adjacency=adjacency, node_members=assignment.clusters)
 
 
 def neighborhood(g: TransitionGraph, x: int, d: int) -> Neighborhood:
@@ -112,5 +112,5 @@ def write_graph(g: TransitionGraph, edges_path, nodes_path) -> None:
                     f.write(f"{u} {v}\n")
     with open(nodes_path, "w", encoding="utf-8") as f:
         f.write("id weight size\n")
-        for u in range(g.n_nodes):
-            f.write(f"{u} {g.node_weight[u]} {len(g.node_members[u])}\n")
+        for u, members in enumerate(g.node_members):
+            f.write(f"{u} {len(members)} {len(members)}\n")

@@ -5,12 +5,15 @@ Three variants mirror the reference comparison: "graph" uses the full
 neighborhood feature set, "clusters" restricts to hop-0 features on the
 real clustering, and "fingerprints" treats every scan as its own
 cluster (the raw-fingerprint baseline).
+
+The stagewise CLI and cross-validation call `partition` and `train_model`
+too, so every path maps a config onto the same stage calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List, Tuple
 
 from .clustering import ClusterAssignment, ClusterParams, cluster, singleton_assignment
 from .config import PipelineConfig
@@ -18,7 +21,7 @@ from .evaluation import EvalReport, evaluate
 from .features import FeatureTable, extract_features
 from .fpindex import build_index
 from .graph import TransitionGraph, build_graph
-from .learner import Model, Prediction, label_nodes, predict, train
+from .learner import LabeledNode, Model, Prediction, label_nodes, predict, train
 from .model import FingerprintMatrix
 
 
@@ -29,12 +32,24 @@ class Stages:
     features: FeatureTable
 
 
-def build_stages(m: FingerprintMatrix, config: PipelineConfig) -> Stages:
+def partition(m: FingerprintMatrix, config: PipelineConfig) -> ClusterAssignment:
+    """The variant's clusters: one per fingerprint for "fingerprints",
+    otherwise DBSCAN at the configured eps and min_pts."""
     if config.variant == "fingerprints":
-        assignment = singleton_assignment(m)
-    else:
-        index = build_index(m)
-        assignment = cluster(m, ClusterParams(config.eps, config.min_pts), index)
+        return singleton_assignment(m)
+    return cluster(m, ClusterParams(config.eps, config.min_pts), build_index(m))
+
+
+def train_model(
+    features: FeatureTable, labeled: List[LabeledNode], config: PipelineConfig
+) -> Model:
+    """Train the configured learner with its hyperparameters and seed."""
+    return train(features, labeled, kind=config.learner_kind(), seed=config.seed,
+                 hyperparameters=config.hyperparameters())
+
+
+def build_stages(m: FingerprintMatrix, config: PipelineConfig) -> Stages:
+    assignment = partition(m, config)
     g = build_graph(assignment, m, config.max_gap_ms)
     feats = extract_features(g, m, config.feature_ranges())
     return Stages(assignment=assignment, graph=g, features=feats)
@@ -44,14 +59,7 @@ def fit(m: FingerprintMatrix, config: PipelineConfig) -> Tuple[Model, Stages]:
     """Cluster, label nodes by majority vote, and train the ensemble."""
     stages = build_stages(m, config)
     labeled, _ = label_nodes(stages.assignment, m.labels, config.tie_rule)
-    model = train(
-        stages.features,
-        labeled,
-        kind=config.learner_kind(),
-        seed=config.seed,
-        hyperparameters=config.hyperparameters(),
-    )
-    return model, stages
+    return train_model(stages.features, labeled, config), stages
 
 
 def score(

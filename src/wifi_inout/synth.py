@@ -15,7 +15,8 @@ output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -54,6 +55,12 @@ class WorldSpec:
     start_timestamp_ms: int = 1_600_000_000_000
 
     def validate(self) -> "WorldSpec":
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.profile not in (PROFILE_NORMAL, PROFILE_PARKING):
             raise ConfigError(f"unknown profile {self.profile!r}")
         if self.duration_s <= 0 or self.scan_period_s <= 0:

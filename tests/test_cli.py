@@ -54,27 +54,32 @@ def test_ingest_normalizes_round_trip(tmp_path, worlds):
     assert out.read_bytes() == a.read_bytes()
 
 
-def test_stagewise_equals_monolithic_pipeline(tmp_path, worlds):
+@pytest.mark.parametrize("variant, learner", [
+    (variant, learner)
+    for variant in ("graph", "clusters", "fingerprints")
+    for learner in ("rf", "gbm")
+])
+def test_stagewise_equals_monolithic_pipeline(tmp_path, worlds, variant, learner):
     a, b = worlds
     clusters = tmp_path / "a.clusters.jsonl"
     features = tmp_path / "a.features.csv"
     model = tmp_path / "model.json"
     preds = tmp_path / "b.preds.jsonl"
     report1 = tmp_path / "report1.json"
+    flags = ["--variant", variant, "--learner", learner, "--seed", "7"]
 
-    assert main(["cluster", "--scans", str(a), "--out", str(clusters)]) == 0
+    assert main(["cluster", "--scans", str(a), "--out", str(clusters), *flags]) == 0
     assert main(["features", "--scans", str(a), "--clusters", str(clusters),
-                 "--out", str(features)]) == 0
-    assert main(["train", "--features", str(features), "--seed", "7",
-                 "--out", str(model)]) == 0
+                 "--out", str(features), *flags]) == 0
+    assert main(["train", "--features", str(features), "--out", str(model), *flags]) == 0
     assert main(["predict", "--model", str(model), "--scans", str(b),
-                 "--out", str(preds)]) == 0
+                 "--out", str(preds), *flags]) == 0
     assert main(["eval", "--preds", str(preds), "--scans", str(b),
-                 "--out", str(report1)]) == 0
+                 "--out", str(report1), *flags]) == 0
 
     prefix = tmp_path / "mono"
     assert main(["pipeline", "--train", str(a), "--test", str(b),
-                 "--seed", "7", "--out", str(prefix)]) == 0
+                 "--out", str(prefix), *flags]) == 0
 
     assert report1.read_bytes() == (tmp_path / "mono.report.json").read_bytes()
     assert model.read_bytes() == (tmp_path / "mono.model.json").read_bytes()
@@ -263,6 +268,12 @@ def test_bad_config_value_exits_one(tmp_path, capsys, line):
     err = capsys.readouterr().err
     assert err.count("error:") == 2 and "Traceback" not in err
     assert not (tmp_path / "run.model.json").exists()
+
+
+def test_negative_synth_seed_exits_one(tmp_path, capsys):
+    assert main(["synth", "--seed", "-1", "--out", str(tmp_path / "w.scans")]) == 1
+    err = capsys.readouterr().err
+    assert "error: seed must be >= 0" in err and "Traceback" not in err
 
 
 def test_negative_seed_flag_exits_one(tmp_path, capsys):

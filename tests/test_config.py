@@ -81,6 +81,7 @@ def test_unknown_key_rejected():
     ("learning_rate", "0", "0.001"),
     ("learning_rate", "-0.1", "2.0"),
     ("learning_rate", "nan", "0.5"),
+    ("learning_rate", "inf", "0.5"),
     ("rf_max_features", "0", "1"),
     ("rf_max_depth", "0", "1"),
     ("max_gap_ms", "-1", "0"),

@@ -115,23 +115,30 @@ def test_score_range(rng, kind):
     assert np.all(s >= 0.0) and np.all(s <= 1.0)
 
 
-def test_weight_k_equals_k_duplicates():
-    # fixed single tree, no subsampling: split gains must match exactly
-    X = np.array([[0.0], [1.0], [2.0], [3.0], [4.0], [5.0]])
-    y = np.array([0.0, 0.0, 1.0, 1.0, 0.0, 1.0])
-    for k in (2, 3, 7):
-        w = np.array([1.0, 1.0, 1.0, float(k), 1.0, 1.0])
-        t_weighted = grow_tree(X, y, w, criterion="gini")
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 30),
+    st.integers(1, 3),
+    st.sampled_from(["gini", "sse"]),
+)
+def test_weight_k_equals_k_duplicates(seed, n, p, criterion):
+    # a point of weight k grows the same tree as k unit-weight copies of it
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 5, size=(n, p)) / 2.0  # a coarse grid, so columns tie
+    X[:, 0] += rng.normal(size=n) * rng.integers(0, 2)  # and sometimes not
+    if criterion == "gini":
+        y = rng.integers(0, 2, size=n).astype(float)
+    else:
+        y = rng.integers(-20, 21, size=n).astype(float)
+    k = rng.integers(1, 9, size=n)
+    t_weighted = grow_tree(X, y, k.astype(float), criterion=criterion)
 
-        rows = [0, 1, 2] + [3] * k + [4, 5]
-        t_dup = grow_tree(X[rows], y[rows], np.ones(len(rows)), criterion="gini")
+    rows = rng.permutation(np.repeat(np.arange(n), k))
+    t_dup = grow_tree(X[rows], y[rows], np.ones(len(rows)), criterion=criterion)
 
-        assert np.array_equal(t_weighted.feature, t_dup.feature)
-        assert np.array_equal(t_weighted.threshold, t_dup.threshold)
-        assert np.array_equal(t_weighted.gain, t_dup.gain)  # bit-exact
-        assert np.array_equal(t_weighted.left, t_dup.left)
-        assert np.array_equal(t_weighted.right, t_dup.right)
-        assert np.array_equal(t_weighted.value, t_dup.value)
+    for name in ("feature", "threshold", "left", "right", "value", "gain"):
+        assert np.array_equal(getattr(t_weighted, name), getattr(t_dup, name)), name
 
 
 def test_misfit_weight_monotonically_raises_split_gain():

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from wifi_inout.errors import ConfigError
@@ -95,6 +97,15 @@ def test_validation_errors():
         WorldSpec(profile="rooftop").validate()
     with pytest.raises(ConfigError):
         WorldSpec(indoor_dwell_max_s=0.0, outdoor_dwell_max_s=0.0).validate()
+    with pytest.raises(ConfigError, match="seed"):
+        WorldSpec(seed=-1).validate()
+    for name, value in (
+        ("scan_period_s", math.nan), ("indoor_rssi_mean", math.nan),
+        ("outdoor_rssi_sigma", math.nan), ("duration_s", math.inf),
+        ("scan_noise_sigma", math.inf), ("indoor_dwell_min_s", math.nan),
+    ):
+        with pytest.raises(ConfigError, match=name):
+            WorldSpec(**{name: value}).validate()
 
 
 def test_worldspec_from_file(tmp_path):
