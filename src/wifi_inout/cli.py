@@ -22,13 +22,12 @@ from .clustering import ClusterAssignment, read_assignment, write_assignment
 from .config import PipelineConfig, config_from_file, config_with_overrides
 from .errors import FormatError, WifiInoutError
 from .features import (
-    extract_features,
     neighborhood_feature_grid,
     read_features_csv,
     select_neighborhood_sizes,
     write_features_csv,
 )
-from .graph import build_graph, write_graph
+from .graph import write_graph
 from .learner import LabeledNode, Model, Prediction, label_nodes
 from .model import INDOOR, OUTDOOR, ingest, read_scan_log, write_scan_log
 from .synth import WorldSpec, generate, worldspec_from_file
@@ -110,7 +109,9 @@ def cmd_cluster(args) -> int:
     m = _load_matrix(args.scans)
     assignment = pipeline.partition(m, cfg)
     write_assignment(assignment, args.out)
-    log(f"clusters C={assignment.n_clusters} (eps={cfg.eps}, min_pts={cfg.min_pts}) "
+    kind = ("singletons" if cfg.variant == "fingerprints"
+            else f"eps={cfg.eps}, min_pts={cfg.min_pts}")
+    log(f"clusters C={assignment.n_clusters} ({kind}) "
         f"mean_fp_per_cluster={m.T / assignment.n_clusters:.1f} -> {args.out}")
     return 0
 
@@ -119,7 +120,7 @@ def cmd_graph(args) -> int:
     cfg = _load_config(args)
     m = _load_matrix(args.scans)
     assignment = read_assignment(args.clusters)
-    g = build_graph(assignment, m, cfg.max_gap_ms)
+    g = pipeline.graph(assignment, m, cfg)
     write_graph(g, f"{args.out}.edges", f"{args.out}.nodes")
     log(f"graph nodes={g.n_nodes} edges={g.n_edges} -> {args.out}.edges / {args.out}.nodes")
     return 0
@@ -129,8 +130,8 @@ def cmd_features(args) -> int:
     cfg = _load_config(args)
     m = _load_matrix(args.scans)
     assignment = read_assignment(args.clusters)
-    g = build_graph(assignment, m, cfg.max_gap_ms)
-    table = extract_features(g, m, cfg.feature_ranges())
+    stages = pipeline.stages(assignment, m, cfg)
+    g, table = stages.graph, stages.features
     node_labels = _node_labels(assignment, m, cfg)
     write_features_csv(table, g.node_weight, node_labels, args.out)
     n_labeled = sum(1 for lab in node_labels if lab is not None)
@@ -143,7 +144,7 @@ def cmd_select_dims(args) -> int:
     cfg = _load_config(args)
     m = _load_matrix(args.scans)
     assignment = pipeline.partition(m, cfg)
-    g = build_graph(assignment, m, cfg.max_gap_ms)
+    g = pipeline.graph(assignment, m, cfg)
     table = neighborhood_feature_grid(g, m, max_d=args.max_d)
     report = select_neighborhood_sizes(table, _node_labels(assignment, m, cfg))
     print("feature            coef        t         p      selected")

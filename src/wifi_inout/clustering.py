@@ -8,6 +8,10 @@ core, so the clusters are the connected components of the eps-distance
 graph. Each fingerprint is region-queried at most once, and exactly once
 at min_pts = 1. Noise points become singleton clusters so the partition
 stays total and the transition graph covers every scan.
+
+At min_pts = 1 appending a fingerprint only adds eps-edges, so one pass
+over a stream gives the partition of every prefix (`prefix_partitions`;
+Ester et al., VLDB 1998).
 """
 
 from __future__ import annotations
@@ -15,11 +19,13 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
-from .errors import ConfigError, CoverageError, FormatError
+from .errors import ConfigError, CoverageError, FormatError, IndexRangeError
 from .fpindex import FingerprintIndex, region_query_arr
 from .model import FingerprintMatrix
 
@@ -132,6 +138,43 @@ def cluster(
     noise = labels == -2
     labels[noise] = next_label + np.arange(np.count_nonzero(noise))
     return _canonical(labels)
+
+
+def prefix_partitions(
+    m: FingerprintMatrix,
+    params: ClusterParams,
+    index: FingerprintIndex,
+    ends: Sequence[int],
+) -> Iterator[Tuple[int, ClusterAssignment]]:
+    """Yield (n, partition of m's first n fingerprints) for each n in the
+    non-decreasing `ends`, equal to `cluster` on each prefix (min_pts = 1).
+
+    Each fingerprint t < ends[-1] is region-queried once on `index`, an
+    index of the whole of m, and keeps its neighbours j < t: the distance
+    is symmetric, so a prefix's eps-edges are the ones found by its own
+    fingerprints. The partition of a prefix is the connected components
+    of its edges.
+    """
+    params.validate()
+    if params.min_pts != 1:
+        raise ConfigError(f"prefix partitions need min_pts = 1, got {params.min_pts}")
+    heads = [np.empty(0, dtype=np.int64)]  # edge t -> j for every j < t within eps
+    tails = [np.empty(0, dtype=np.int64)]
+    done = 0
+    for n in ends:
+        if not done <= n <= m.T:
+            raise IndexRangeError(f"prefix end {n} not in [{done}, {m.T}]")
+        for t in range(done, n):
+            neigh = region_query_arr(t, params.eps, index, m)
+            earlier = neigh[neigh < t]
+            heads.append(np.full(len(earlier), t, dtype=np.int64))
+            tails.append(earlier)
+        done = n
+        head, tail = np.concatenate(heads), np.concatenate(tails)
+        heads, tails = [head], [tail]
+        edges = csr_matrix((np.ones(len(head), dtype=bool), (head, tail)), shape=(n, n))
+        _, labels = connected_components(edges, directed=False)
+        yield n, _canonical(labels)
 
 
 def singleton_assignment(m: FingerprintMatrix) -> ClusterAssignment:

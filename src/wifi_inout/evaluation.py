@@ -249,24 +249,26 @@ def warmup_eval(
     minutes: int,
     config,
 ) -> WarmupReport:
-    """Accuracy per elapsed minute on a fresh scenario, scored by a fixed
-    pre-trained model over a pipeline rebuilt from each minute prefix.
+    """Accuracy per elapsed minute on a fresh scenario: a fixed pre-trained
+    model scores the clusters, graph and features of each minute prefix,
+    as `pipeline.score` would on that prefix alone. At min_pts = 1 every
+    prefix's clusters come from one clustering pass over the scenario.
 
     Minute boundaries start at the first fingerprint's timestamp; the
     report truncates at the last minute that actually contains data.
     """
-    from .pipeline import score  # imported here to avoid a cycle
+    from .pipeline import prefix_stages  # imported here to avoid a cycle
 
     if m.T == 0:
         raise EmptyPrefixError("scenario contains no fingerprints")
     t0 = m.timestamps_ms[0]
     last_minute = (m.timestamps_ms[-1] - t0) // 60000 + 1
+    # each prefix holds at least the first fingerprint, at t0
+    ends = [bisect_left(m.timestamps_ms, t0 + minute * 60000)
+            for minute in range(1, min(minutes, last_minute) + 1)]
     entries: List[WarmupEntry] = []
-    for minute in range(1, min(minutes, last_minute) + 1):
-        n = bisect_left(m.timestamps_ms, t0 + minute * 60000)
-        if n == 0:
-            raise EmptyPrefixError("no fingerprints in the first minute")
-        pred, _ = score(m.prefix(n), model, config)
+    for minute, (n, stages) in enumerate(prefix_stages(m, config, ends), 1):
+        pred = predict(model, stages.features, stages.assignment, config.threshold)
         report = evaluate(pred, m.labels[:n])
         entries.append(WarmupEntry(minute, report.accuracy, report.n_evaluated))
     return WarmupReport(entries)

@@ -6,16 +6,23 @@ neighborhood feature set, "clusters" restricts to hop-0 features on the
 real clustering, and "fingerprints" treats every scan as its own
 cluster (the raw-fingerprint baseline).
 
-The stagewise CLI and cross-validation call `partition` and `train_model`
-too, so every path maps a config onto the same stage calls.
+The stagewise CLI, cross-validation and warm-up evaluation call
+`partition`, `graph`, `stages` and `train_model` too, so every path maps
+a config onto the same stage calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
-from .clustering import ClusterAssignment, ClusterParams, cluster, singleton_assignment
+from .clustering import (
+    ClusterAssignment,
+    ClusterParams,
+    cluster,
+    prefix_partitions,
+    singleton_assignment,
+)
 from .config import PipelineConfig
 from .evaluation import EvalReport, evaluate
 from .features import FeatureTable, extract_features
@@ -48,11 +55,42 @@ def train_model(
                  hyperparameters=config.hyperparameters())
 
 
-def build_stages(m: FingerprintMatrix, config: PipelineConfig) -> Stages:
-    assignment = partition(m, config)
-    g = build_graph(assignment, m, config.max_gap_ms)
+def graph(
+    assignment: ClusterAssignment, m: FingerprintMatrix, config: PipelineConfig
+) -> TransitionGraph:
+    return build_graph(assignment, m, config.max_gap_ms)
+
+
+def stages(
+    assignment: ClusterAssignment, m: FingerprintMatrix, config: PipelineConfig
+) -> Stages:
+    """The graph and feature table of a partition of m."""
+    g = graph(assignment, m, config)
     feats = extract_features(g, m, config.feature_ranges())
     return Stages(assignment=assignment, graph=g, features=feats)
+
+
+def build_stages(m: FingerprintMatrix, config: PipelineConfig) -> Stages:
+    return stages(partition(m, config), m, config)
+
+
+def prefix_stages(
+    m: FingerprintMatrix, config: PipelineConfig, ends: Sequence[int]
+) -> Iterator[Tuple[int, Stages]]:
+    """Yield (n, stages of m.prefix(n)) for each n in the non-decreasing
+    `ends`, equal to `build_stages(m.prefix(n), config)`.
+
+    Clustered variants at min_pts = 1 take every prefix's partition from
+    one pass over m; singletons, and min_pts > 1, whose border points
+    depend on the expansion order, partition each prefix afresh.
+    """
+    if config.variant != "fingerprints" and config.min_pts == 1:
+        params = ClusterParams(config.eps, config.min_pts)
+        parts = prefix_partitions(m, params, build_index(m), ends)
+    else:
+        parts = ((n, partition(m.prefix(n), config)) for n in ends)
+    for n, assignment in parts:
+        yield n, stages(assignment, m.prefix(n), config)
 
 
 def fit(m: FingerprintMatrix, config: PipelineConfig) -> Tuple[Model, Stages]:

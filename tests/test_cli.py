@@ -270,6 +270,19 @@ def test_bad_config_value_exits_one(tmp_path, capsys, line):
     assert not (tmp_path / "run.model.json").exists()
 
 
+@pytest.mark.parametrize("variant, kind", [
+    ("graph", "(eps=0.22, min_pts=1)"), ("fingerprints", "(singletons)"),
+])
+def test_cluster_log_names_the_partition(tmp_path, capsys, variant, kind):
+    scans = _tiny_scans(tmp_path)
+    capsys.readouterr()
+    assert main(["cluster", "--scans", str(scans), "--variant", variant,
+                 "--out", str(tmp_path / "c.jsonl")]) == 0
+    line = next(l for l in capsys.readouterr().err.splitlines() if l.startswith("clusters C="))
+    assert kind in line
+    assert ("eps=" in line) == (variant != "fingerprints")
+
+
 def test_negative_synth_seed_exits_one(tmp_path, capsys):
     assert main(["synth", "--seed", "-1", "--out", str(tmp_path / "w.scans")]) == 1
     err = capsys.readouterr().err

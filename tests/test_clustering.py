@@ -4,22 +4,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from wifi_inout import clustering
 from wifi_inout.clustering import (
     ClusterParams,
     _canonical,
     cluster,
+    prefix_partitions,
     read_assignment,
     singleton_assignment,
     write_assignment,
 )
-from wifi_inout.errors import ConfigError, FormatError
+from wifi_inout.errors import ConfigError, FormatError, IndexRangeError
 from wifi_inout.fpindex import build_index, region_query_arr
 from wifi_inout.distance import distance
 
 from conftest import mac, make_matrix, random_scan_matrix
-from oracles import canonical_partition, connected_components_partition
+from oracles import canonical_partition, connected_components_partition, region_scan
 
 A = "0a:00:00:00:00:01"
 B = "0b:00:00:00:00:02"
@@ -177,6 +179,55 @@ def test_each_fingerprint_is_queried_at_most_once(rng, monkeypatch):
             queried.clear()
             cluster(m, ClusterParams(eps=eps, min_pts=min_pts), index)
             assert len(queried) == len(set(queried))
+        queried.clear()
+        list(prefix_partitions(m, ClusterParams(eps=eps), index, [50, 120, 120, 150]))
+        assert queried == list(range(150))  # each of the longest prefix, once
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 60), st.floats(0.0, 1.5), st.data())
+def test_prefix_partitions_equal_cluster_on_every_prefix(seed, T, eps, data):
+    m = random_scan_matrix(np.random.default_rng(seed), T, ap_pool=10, max_aps=5,
+                           empty_prob=0.2)
+    ends = sorted(data.draw(st.lists(st.integers(0, T), min_size=1, max_size=8)))
+    params = ClusterParams(eps=eps)
+    got = list(prefix_partitions(m, params, build_index(m), ends))
+    assert [n for n, _ in got] == ends
+    for n, assignment in got:
+        prefix = m.prefix(n)
+        expected = cluster(prefix, params, build_index(prefix))
+        assert np.array_equal(assignment.cluster_of, expected.cluster_of)
+
+
+def test_prefix_partitions_join_exactly_the_eps_pairs_of_each_prefix(rng, monkeypatch):
+    m = random_scan_matrix(rng, 80, ap_pool=12, empty_prob=0.15)
+    graphs = []
+
+    def recording(g, **kwargs):
+        graphs.append(g.tocoo())
+        return connected_components(g, **kwargs)
+
+    monkeypatch.setattr(clustering, "connected_components", recording)
+    ends = [0, 1, 30, 30, 80]
+    eps = 0.2987
+    list(prefix_partitions(m, ClusterParams(eps=eps), build_index(m), ends))
+    assert len(graphs) == len(ends)
+    for n, g in zip(ends, graphs):
+        prefix = m.prefix(n)
+        pairs = {(t, j) for t in range(n) for j in region_scan(prefix, t, eps) if j < t}
+        assert g.shape == (n, n)
+        assert set(zip(g.row.tolist(), g.col.tolist())) == pairs
+
+
+def test_prefix_partitions_reject_bad_arguments(rng):
+    m = random_scan_matrix(rng, 20)
+    index = build_index(m)
+    with pytest.raises(ConfigError):
+        list(prefix_partitions(m, ClusterParams(min_pts=2), index, [10]))
+    with pytest.raises(IndexRangeError):
+        list(prefix_partitions(m, ClusterParams(), index, [10, 5]))
+    with pytest.raises(IndexRangeError):
+        list(prefix_partitions(m, ClusterParams(), index, [21]))
 
 
 def test_cluster_leaves_caller_index_unchanged(rng):

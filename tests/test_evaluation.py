@@ -1,4 +1,5 @@
 import dataclasses
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from wifi_inout.errors import (
 from wifi_inout.evaluation import (
     TO_INDOOR,
     TO_OUTDOOR,
+    WarmupEntry,
     auc,
     evaluate,
     location_cross_validation,
@@ -22,7 +24,7 @@ from wifi_inout.evaluation import (
 )
 from wifi_inout.learner import Prediction, label_nodes, train
 from wifi_inout.model import INDOOR, OUTDOOR, FingerprintMatrix, ingest
-from wifi_inout.pipeline import build_stages, fit
+from wifi_inout.pipeline import build_stages, fit, score
 from wifi_inout.synth import WorldSpec, generate
 
 from oracles import auc_pair_counting
@@ -320,3 +322,29 @@ def test_warmup_empty_scenario():
     empty = FingerprintMatrix("d", [], set(), [], [], [])
     with pytest.raises(EmptyPrefixError):
         warmup_eval(model, empty, 5, cfg)
+
+
+def _warmup_by_prefix_scoring(model, m, minutes, config):
+    """Reference warm-up series: each minute prefix scored by
+    `pipeline.score` on that prefix alone."""
+    t0 = m.timestamps_ms[0]
+    last_minute = (m.timestamps_ms[-1] - t0) // 60000 + 1
+    entries = []
+    for minute in range(1, min(minutes, last_minute) + 1):
+        n = bisect_left(m.timestamps_ms, t0 + minute * 60000)
+        pred, _ = score(m.prefix(n), model, config)
+        report = evaluate(pred, m.labels[:n])
+        entries.append(WarmupEntry(minute, report.accuracy, report.n_evaluated))
+    return entries
+
+
+@pytest.mark.parametrize("variant, min_pts", [
+    ("graph", 1), ("clusters", 1), ("fingerprints", 1), ("graph", 2),
+])
+def test_warmup_equals_scoring_each_prefix(variant, min_pts):
+    cfg = PipelineConfig(seed=2, n_trees=20, variant=variant, min_pts=min_pts)
+    model = _trained_model(cfg)
+    scenario = ingest(generate(WorldSpec(seed=9, duration_s=720.0)))
+    entries = warmup_eval(model, scenario, 12, cfg).entries
+    assert len(entries) == 12
+    assert entries == _warmup_by_prefix_scoring(model, scenario, 12, cfg)
