@@ -215,6 +215,7 @@ def _read_predictions(path, threshold: float, T: int) -> Prediction:
             seq, node, score, label = row
             if not (isinstance(seq, int) and isinstance(node, int) and node >= 0
                     and isinstance(score, (int, float)) and not isinstance(score, bool)
+                    and 0.0 <= score <= 1.0  # false for NaN
                     and label in (INDOOR, OUTDOOR)):
                 raise FormatError(f"{path}:{lineno}: bad prediction values {line}")
             rows.append(row)

@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DegenerateLabelsError,
     EmptyPrefixError,
     NoLabelsError,
@@ -259,6 +260,8 @@ def warmup_eval(
     """
     from .pipeline import prefix_stages  # imported here to avoid a cycle
 
+    if minutes < 1:
+        raise ConfigError(f"minutes must be >= 1, got {minutes}")
     if m.T == 0:
         raise EmptyPrefixError("scenario contains no fingerprints")
     t0 = m.timestamps_ms[0]

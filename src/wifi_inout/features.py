@@ -12,13 +12,18 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.sparse import csr_array, eye_array
 from scipy.stats import t as student_t
 
-from .errors import DegenerateLabelsError, FormatError, RankDeficiencyError
-from .graph import TransitionGraph, bfs_layers
+from .errors import (
+    ConfigError, DegenerateLabelsError, FormatError, RankDeficiencyError,
+)
+# bfs_layers is unused here but stays importable: perfbench's tracer wraps features.bfs_layers
+from .graph import TransitionGraph, bfs_layers  # noqa: F401
 from .model import INDOOR, OUTDOOR, FingerprintMatrix
 
 # dBm assigned when a neighborhood pool contains no readings at all;
@@ -26,6 +31,9 @@ from .model import INDOOR, OUTDOOR, FingerprintMatrix
 SENTINEL_DBM = -100.0
 
 FAMILIES = ("neighbors", "power", "aps", "fps")
+
+# BFS sources per block in extract_features; bounds its reached matrix
+_SOURCE_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -37,21 +45,17 @@ class FeatureRanges:
     aps: Optional[Tuple[int, int]] = (0, 4)
     fps: Optional[Tuple[int, int]] = (0, 4)
 
+    def columns(self) -> List[Tuple[int, int]]:
+        """(index in FAMILIES, hop bound) of each feature column, in order."""
+        return [(k, d) for k, family in enumerate(FAMILIES)
+                if (rng := getattr(self, family)) is not None
+                for d in range(rng[0], rng[1] + 1)]
+
     def names(self) -> List[str]:
-        out = []
-        for family in FAMILIES:
-            rng = getattr(self, family)
-            if rng is None:
-                continue
-            for d in range(rng[0], rng[1] + 1):
-                out.append(f"{family}_d{d}")
-        return out
+        return [f"{FAMILIES[k]}_d{d}" for k, d in self.columns()]
 
     def max_d(self) -> int:
-        return max(
-            rng[1] for rng in (self.neighbors, self.power, self.aps, self.fps)
-            if rng is not None
-        )
+        return max(d for _, d in self.columns())
 
 
 DEFAULT_RANGES = FeatureRanges()
@@ -88,46 +92,41 @@ def extract_features(
     (empty fingerprints contribute no readings; an all-empty pool takes
     the sentinel); aps = total readings / total fingerprints (empties
     count in the denominator); fps = mean cluster size.
+
+    All nodes are BFS sources at once: with V = [1, size, readings, dBm
+    sum] per node and the boolean adjacency A, from F_0 = R_0 = I and
+    S_0 = V, hop d is F_d = (F_{d-1} A) > R_{d-1}, R_d = R_{d-1} + F_d and
+    S_d = S_{d-1} + F_d V. Sources run _SOURCE_BLOCK at a time, so R holds
+    at most _SOURCE_BLOCK x n_nodes entries. S adds only integers (ingest
+    keeps integer dBm), exactly in float64 in any order, so the rows equal
+    a per-node BFS's bit for bit.
     """
-    n_nodes = g.n_nodes
-    # per-node aggregates over member fingerprints
-    size = np.array(g.node_weight, dtype=np.float64)
-    readings = np.zeros(n_nodes)
-    dbm_sum = np.zeros(n_nodes)
-    for x in range(n_nodes):
-        for fi in g.node_members[x]:
-            fp = m.fingerprints[fi]
-            readings[x] += len(fp.powers)
-            dbm_sum[x] += sum(fp.dbm_values())
-
-    names = ranges.names()
-    col = {name: i for i, name in enumerate(names)}
-    max_d = ranges.max_d()
-    rows = np.zeros((n_nodes, len(names)))
-
-    for x in range(n_nodes):
-        layers = bfs_layers(g, x, max_d)
-        cnt = 0
-        size_sum = 0.0
-        readings_sum = 0.0
-        dbm_total = 0.0
-        for d in range(max_d + 1):
-            if d < len(layers):
-                for y in layers[d]:
-                    cnt += 1
-                    size_sum += size[y]
-                    readings_sum += readings[y]
-                    dbm_total += dbm_sum[y]
-            for family, value in (
-                ("neighbors", float(cnt)),
-                ("power", dbm_total / readings_sum if readings_sum > 0 else SENTINEL_DBM),
-                ("aps", readings_sum / size_sum),
-                ("fps", size_sum / cnt),
-            ):
-                rng = getattr(ranges, family)
-                if rng is not None and rng[0] <= d <= rng[1]:
-                    rows[x, col[f"{family}_d{d}"]] = value
-    return FeatureTable(names=names, rows=rows)
+    n = g.n_nodes
+    node_of = np.repeat(np.arange(n), g.node_weight)
+    fps = [m.fingerprints[i] for i in chain.from_iterable(g.node_members)]
+    V = np.column_stack([np.ones(n), np.bincount(node_of, minlength=n),
+                         np.bincount(node_of, [len(fp.powers) for fp in fps], n),
+                         np.bincount(node_of, [sum(fp.dbm_values()) for fp in fps], n)])
+    degree = list(map(len, g.adjacency))
+    cols = list(chain.from_iterable(g.adjacency))
+    A = csr_array((np.ones(len(cols), bool), (np.repeat(np.arange(n), degree), cols)),
+                  shape=(n, n))
+    eye = eye_array(n, format="csr", dtype=bool)
+    fam, hop = zip(*ranges.columns())
+    rows = np.empty((n, len(hop)))
+    for lo in range(0, n, _SOURCE_BLOCK):
+        frontier = reached = eye[lo:lo + _SOURCE_BLOCK]
+        totals = [V[lo:lo + _SOURCE_BLOCK]]
+        for _ in range(ranges.max_d()):
+            frontier = (frontier @ A) > reached
+            reached = reached + frontier
+            totals.append(totals[-1] + frontier @ V)
+        count, size, readings, dbm = np.stack(totals, axis=1).T  # each (hop, source)
+        power = np.divide(dbm, readings, out=np.full_like(dbm, SENTINEL_DBM),
+                          where=readings > 0)
+        values = np.stack([count, power, readings / size, size / count])
+        rows[lo:lo + _SOURCE_BLOCK] = values[fam, hop].T
+    return FeatureTable(names=ranges.names(), rows=rows)
 
 
 def neighborhood_feature_grid(
@@ -135,6 +134,8 @@ def neighborhood_feature_grid(
 ) -> FeatureTable:
     """All four families at every hop bound 0..max_d, for the selection
     regression."""
+    if max_d < 0:
+        raise ConfigError(f"max_d must be >= 0, got {max_d}")
     full = FeatureRanges(
         neighbors=(0, max_d), power=(0, max_d), aps=(0, max_d), fps=(0, max_d)
     )

@@ -260,16 +260,23 @@ def record_from_json(line: str) -> ScanRecord:
     except json.JSONDecodeError as e:
         raise FormatError(f"bad scan record line: {e}") from e
     try:
-        return ScanRecord(
+        rec = ScanRecord(
             device_id=obj["device_id"],
-            seq=int(obj["seq"]),
-            timestamp_ms=int(obj["timestamp_ms"]),
-            readings=[(r["bssid"], int(r["rssi_dbm"])) for r in obj["scan"]],
+            seq=obj["seq"],
+            timestamp_ms=obj["timestamp_ms"],
+            readings=[(r["bssid"], r["rssi_dbm"]) for r in obj["scan"]],
             label=obj.get("label"),
             location=obj.get("location"),
         )
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError) as e:
         raise FormatError(f"bad scan record fields: {e}") from e
+    # JSON integers only, not floats (never truncated) and not bool (an int subclass)
+    ints = [rec.seq, rec.timestamp_ms] + [rssi for _, rssi in rec.readings]
+    if not (isinstance(rec.device_id, str) and isinstance(rec.location, (str, type(None)))
+            and all(type(v) is int for v in ints)):
+        raise FormatError("bad scan record field types: want a string device_id, a string "
+                          "or null location, and integer seq, timestamp_ms and rssi_dbm")
+    return rec
 
 
 def write_scan_log(records: Sequence[ScanRecord], path) -> None:

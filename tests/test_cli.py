@@ -200,6 +200,44 @@ def test_select_dims_subcommand(tmp_path, worlds):
     assert any(e["selected"] for e in entries)
 
 
+def test_select_dims_negative_max_d_exits_one(tmp_path, capsys):
+    scans = _tiny_scans(tmp_path)
+    capsys.readouterr()
+    assert main(["select-dims", "--scans", str(scans), "--max-d", "-2"]) == 1
+    captured = capsys.readouterr()
+    assert "error: max_d must be >= 0" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_warmup_minutes_below_one_exits_one(tmp_path, worlds, capsys):
+    a, b = worlds
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("n_trees = 5\n", encoding="utf-8")
+    assert main(["pipeline", "--train", str(a), "--test", str(b), "--config", str(cfg),
+                 "--out", str(tmp_path / "run")]) == 0
+    for minutes in ("0", "-3"):
+        capsys.readouterr()
+        assert main(["warmup", "--model", str(tmp_path / "run.model.json"),
+                     "--scans", str(b), "--minutes", minutes]) == 1
+        captured = capsys.readouterr()
+        assert "error: minutes must be >= 1" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("location", ["5", "[1]"])
+def test_xval_non_string_location_exits_one(tmp_path, capsys, location):
+    scans = _tiny_scans(tmp_path)
+    lines = scans.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[0])
+    record["location"] = json.loads(location)
+    lines[0] = json.dumps(record)
+    scans.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["xval", "--scans", str(scans)]) == 1
+    err = capsys.readouterr().err
+    assert "error: bad scan record field types" in err and "Traceback" not in err
+
+
 def test_unknown_flag_exits_with_usage(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["cluster", "--scans", "x", "--out", "y", "--frobnicate"])
@@ -329,6 +367,10 @@ GOOD_ROWS = [{"seq": i, "node": i, "score": 0.75, "label": "indoor"} for i in ra
     '{"seq": 3, "node": 0, "score": "high", "label": "indoor"}',
     '{"seq": 3, "node": -1, "score": 0.5, "label": "indoor"}',
     '{"seq": 3, "node": 0, "score": 0.5, "label": "attic"}',
+    '{"seq": 3, "node": 0, "score": NaN, "label": "indoor"}',
+    '{"seq": 3, "node": 0, "score": Infinity, "label": "indoor"}',
+    '{"seq": 3, "node": 0, "score": -0.1, "label": "indoor"}',
+    '{"seq": 3, "node": 0, "score": 1.5, "label": "indoor"}',
     '[3, 0, 0.5, "indoor"]',
     '{"seq": 4, "node": 0, "score": 0.5, "label": "indoor"}',  # seq gap
     '{"seq": 2, "node": 0, "score": 0.5, "label": "indoor"}',  # seq repeated

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wifi_inout import features
 from wifi_inout.clustering import ClusterParams, cluster
-from wifi_inout.errors import DegenerateLabelsError, FormatError, RankDeficiencyError
+from wifi_inout.errors import (
+    ConfigError, DegenerateLabelsError, FormatError, RankDeficiencyError,
+)
 from wifi_inout.features import (
     DEFAULT_RANGES,
     SENTINEL_DBM,
@@ -15,10 +20,10 @@ from wifi_inout.features import (
     write_features_csv,
 )
 from wifi_inout.fpindex import build_index
-from wifi_inout.graph import build_graph
+from wifi_inout.graph import bfs_layers, build_graph
 from wifi_inout.model import INDOOR, OUTDOOR
 
-from conftest import make_matrix, random_scan_matrix
+from conftest import mac, make_matrix, random_scan_matrix
 from oracles import feature_oracle, ols_normal_equations
 from test_graph import _assignment
 
@@ -31,6 +36,79 @@ def _pipeline(m, eps=0.22):
     assignment = cluster(m, ClusterParams(eps=eps), index)
     g = build_graph(assignment, m)
     return assignment, g
+
+
+def reference_features(g, m, ranges):
+    """The per-node BFS that extract_features replaced, kept as its oracle."""
+    n_nodes = g.n_nodes
+    # per-node aggregates over member fingerprints
+    size = np.array(g.node_weight, dtype=np.float64)
+    readings = np.zeros(n_nodes)
+    dbm_sum = np.zeros(n_nodes)
+    for x in range(n_nodes):
+        for fi in g.node_members[x]:
+            fp = m.fingerprints[fi]
+            readings[x] += len(fp.powers)
+            dbm_sum[x] += sum(fp.dbm_values())
+
+    names = ranges.names()
+    col = {name: i for i, name in enumerate(names)}
+    max_d = ranges.max_d()
+    rows = np.zeros((n_nodes, len(names)))
+
+    for x in range(n_nodes):
+        layers = bfs_layers(g, x, max_d)
+        cnt = 0
+        size_sum = 0.0
+        readings_sum = 0.0
+        dbm_total = 0.0
+        for d in range(max_d + 1):
+            if d < len(layers):
+                for y in layers[d]:
+                    cnt += 1
+                    size_sum += size[y]
+                    readings_sum += readings[y]
+                    dbm_total += dbm_sum[y]
+            for family, value in (
+                ("neighbors", float(cnt)),
+                ("power", dbm_total / readings_sum if readings_sum > 0 else SENTINEL_DBM),
+                ("aps", readings_sum / size_sum),
+                ("fps", size_sum / cnt),
+            ):
+                rng = getattr(ranges, family)
+                if rng is not None and rng[0] <= d <= rng[1]:
+                    rows[x, col[f"{family}_d{d}"]] = value
+    return FeatureTable(names=names, rows=rows)
+
+
+_scans = st.lists(
+    st.dictionaries(st.integers(0, 7).map(mac), st.integers(-95, -30), max_size=5),
+    min_size=1, max_size=40,
+)
+_hops = st.one_of(st.none(), st.lists(st.integers(0, 8), min_size=2, max_size=2).map(
+    lambda ds: (min(ds), max(ds))))
+_ranges = st.builds(FeatureRanges, _hops, _hops, _hops, _hops).filter(lambda r: r.names())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scans, st.data(), _ranges, st.integers(1, 3))
+def test_extract_features_equals_per_node_bfs(scans, data, ranges, block):
+    m = make_matrix(scans)
+    labels = data.draw(st.lists(st.integers(0, 11), min_size=m.T, max_size=m.T))
+    g = build_graph(_assignment(np.unique(labels, return_inverse=True)[1]), m)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(features, "_SOURCE_BLOCK", block)
+        got = extract_features(g, m, ranges)
+    want = reference_features(g, m, ranges)
+    assert got.names == want.names
+    assert np.array_equal(got.rows, want.rows)
+
+
+def test_feature_grid_rejects_negative_hop_bound():
+    m = make_matrix([{A: -50}, {B: -60}])
+    _, g = _pipeline(m)
+    with pytest.raises(ConfigError):
+        neighborhood_feature_grid(g, m, max_d=-1)
 
 
 def test_isolated_uniform_node():

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -152,6 +153,19 @@ def test_scan_log_rejects_garbage(tmp_path):
     path.write_text('{"device_id": "d", "seq": 0}\n', encoding="utf-8")
     with pytest.raises(FormatError):
         read_scan_log(path)
+    good = {"device_id": "d", "seq": 0, "timestamp_ms": 1000, "label": None,
+            "location": "hall", "scan": [{"bssid": "0a:00:00:00:00:01", "rssi_dbm": -50}]}
+    path.write_text(json.dumps(good) + "\n", encoding="utf-8")
+    assert read_scan_log(path)[0].location == "hall"
+    # JSON integers only (no float, no bool); strings for device_id and location
+    for field, value in [("device_id", 7), ("location", 5), ("location", [1]),
+                         ("seq", "0"), ("seq", True), ("timestamp_ms", 1000.5),
+                         ("timestamp_ms", 1000.0), ("rssi_dbm", -50.7), ("rssi_dbm", True)]:
+        bad = json.loads(json.dumps(good))
+        (bad["scan"][0] if field == "rssi_dbm" else bad)[field] = value
+        path.write_text(json.dumps(bad) + "\n", encoding="utf-8")
+        with pytest.raises(FormatError):
+            read_scan_log(path)
 
 
 def test_fingerprint_ranks_ties_and_order():
