@@ -9,6 +9,12 @@ graph. Each fingerprint is region-queried at most once, and exactly once
 at min_pts = 1. Noise points become singleton clusters so the partition
 stays total and the transition graph covers every scan.
 
+At min_pts = 1 only the first query of each distinct non-empty rank map
+computes distances; a repeated rank map has the same eps-neighbourhood,
+so its query takes the first one's answer (`region_query_arr`'s `memo`).
+An empty scan is always computed, since an empty pair's distance depends
+on stream position.
+
 At min_pts = 1 appending a fingerprint only adds eps-edges, so one pass
 over a stream gives the partition of every prefix (`prefix_partitions`;
 Ester et al., VLDB 1998).
@@ -106,14 +112,18 @@ def cluster(
     At min_pts = 1 a labelled point can never change its label, so the
     queries skip labelled points (`live` is the unlabelled ones) and drop
     them from the postings they read. They do so on a private copy of
-    `index`; the caller's index is left unchanged. At min_pts > 1 every
-    neighbour counts towards the core test, so nothing is skipped.
+    `index`; the caller's index is left unchanged. A query whose rank map
+    was queried before reuses that answer (`memo`; module docstring), so
+    each distinct non-empty rank map's distances are computed once. At
+    min_pts > 1 every neighbour counts towards the core test, so nothing
+    is skipped.
     """
     params.validate()
     labels = np.full(m.T, -1, dtype=np.int64)  # -1 unvisited, -2 noise
-    live = None
+    live = memo = None
     if params.min_pts == 1:
         live = np.ones(m.T, dtype=bool)
+        memo = {}
         index = replace(
             index, postings=dict(index.postings), posting_ranks=dict(index.posting_ranks)
         )
@@ -121,7 +131,7 @@ def cluster(
     for start in range(m.T) if order is None else order:
         if labels[start] != -1:
             continue
-        neigh = region_query_arr(start, params.eps, index, m, live)
+        neigh = region_query_arr(start, params.eps, index, m, live, memo)
         if len(neigh) < params.min_pts:
             labels[start] = -2
             continue
@@ -133,7 +143,7 @@ def cluster(
         frontier = deque([_claim(labels, live, neigh, next_label)])
         while frontier:
             for p in frontier.popleft():
-                p_neigh = region_query_arr(int(p), params.eps, index, m, live)
+                p_neigh = region_query_arr(int(p), params.eps, index, m, live, memo)
                 if len(p_neigh) >= params.min_pts:
                     frontier.append(_claim(labels, live, p_neigh, next_label))
         next_label += 1

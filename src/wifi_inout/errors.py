@@ -21,6 +21,13 @@ def require_int64(values, what: str) -> None:
         raise FormatError(f"{what} must be integers within int64")
 
 
+def require_number(values, what: str) -> None:
+    """Raise FormatError unless every value is a JSON number: an int or a
+    float, not a bool or a string."""
+    if not all(type(v) in (int, float) for v in values):
+        raise FormatError(f"{what} must be numbers")
+
+
 class MixedDeviceError(WifiInoutError):
     """A scan stream contains records from more than one device."""
 

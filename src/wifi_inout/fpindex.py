@@ -107,8 +107,6 @@ def _candidate_distances(
     o = np.bincount(inv, minlength=nb).astype(np.float64)
     s_rq = np.bincount(inv, weights=rq, minlength=nb)
     s_rc = np.bincount(inv, weights=rc, minlength=nb)
-    s_rq2 = np.bincount(inv, weights=rq * rq, minlength=nb)
-    s_rc2 = np.bincount(inv, weights=rc * rc, minlength=nb)
     s_cross = np.bincount(inv, weights=rq * rc, minlength=nb)
 
     kq = float(index.k[q])
@@ -121,10 +119,12 @@ def _candidate_distances(
     sq_sum = kq * (kq + 1.0) / 2.0  # rank sums are k(k+1)/2 even with ties
     sc_sum = kc * (kc + 1.0) / 2.0
 
-    shared = s_rq2 + s_rc2 - 2.0 * s_cross
-    q_only = (index.rank_sumsq[q] - s_rq2) - 2.0 * a_c * (sq_sum - s_rq) + mq * a_c * a_c
-    c_only = (index.rank_sumsq[uniq] - s_rc2) - 2.0 * a_q * (sc_sum - s_rc) + mc * a_q * a_q
-    ssd = shared + q_only + c_only
+    # (rq - rc)^2 over shared APs plus each side's missing APs at their tied
+    # rank; the shared rq^2 and rc^2 are inside rank_sumsq. Every term is an
+    # exact quarter-integer, so no order of summation changes a bit.
+    q_only = index.rank_sumsq[q] - 2.0 * a_c * (sq_sum - s_rq) + mq * a_c * a_c
+    c_only = index.rank_sumsq[uniq] - 2.0 * a_q * (sc_sum - s_rc) + mc * a_q * a_q
+    ssd = q_only + c_only - 2.0 * s_cross
 
     dist = np.zeros(nb)
     nontrivial = n > 1.0  # n == 1 means identical single-AP pair: distance 0
@@ -139,6 +139,7 @@ def region_query_arr(
     index: FingerprintIndex,
     m: FingerprintMatrix,
     live: Optional[np.ndarray] = None,
+    memo: Optional[Dict[frozenset, np.ndarray]] = None,
 ) -> np.ndarray:
     """Indices of all fingerprints within eps of fingerprint q (array form).
 
@@ -149,6 +150,14 @@ def region_query_arr(
     cleared is never set again), and only on an index no other caller
     reads: pass a copy whose `postings` and `posting_ranks` dicts are
     the caller's own.
+
+    With a dict `memo`, a non-empty query whose rank map an earlier query
+    already had takes that answer, filtered by the current `live`, and
+    computes no distances. Equal rank maps are at distance 0 from each
+    other and at the same distance from every other fingerprint, so they
+    have the same eps-neighbourhood; and since `live` only shrinks, the
+    earlier answer's live part is the live part of that neighbourhood.
+    One memo serves queries with one eps on one index and one `live`.
     """
     T = index.T
     if not 0 <= q < T:
@@ -161,8 +170,16 @@ def region_query_arr(
         if live is not None:
             keep = keep & live[lo:hi]
         return np.arange(lo, hi)[keep]
+    if memo is not None:
+        key = frozenset(m.fingerprints[q].ranks().items())
+        hit = memo.get(key)
+        if hit is not None:
+            return hit if live is None else hit[live[hit]]
     uniq, dist = _candidate_distances(q, index, m, live)
-    return uniq[dist <= eps]
+    neigh = uniq[dist <= eps]
+    if memo is not None:
+        memo[key] = neigh
+    return neigh
 
 
 def region_query(

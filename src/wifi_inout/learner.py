@@ -127,15 +127,18 @@ class Model:
         try:
             obj = json.loads(text)
             require_int64([obj["seed"]], "model seed")
+            names = obj["feature_names"]
+            if type(names) is not list or not all(type(n) is str for n in names):
+                raise FormatError("model feature_names must be a list of strings")
             model = Model(
                 kind=obj["kind"],
                 seed=obj["seed"],
-                feature_names=list(obj["feature_names"]),
+                feature_names=names,
                 hyperparameters=dict(obj["hyperparameters"]),
                 trees=[Tree.from_dict(t) for t in obj["trees"]],
                 f0=float(obj["f0"]),
             )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as e:
             raise FormatError(f"bad model file: {e}") from e
         if model.kind not in (RANDOM_FOREST, GBM):
             raise FormatError(f"unknown model kind {model.kind!r}")

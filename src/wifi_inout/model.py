@@ -184,6 +184,7 @@ def ingest(stream: Iterable[ScanRecord]) -> FingerprintMatrix:
     locations: List[Optional[str]] = []
     timestamps: List[int] = []
 
+    canonical: Dict[str, str] = {}  # raw BSSID -> canonical_bssid(raw); few distinct APs
     prev_ts = None
     for i, rec in enumerate(records):
         if rec.device_id != device_id:
@@ -203,7 +204,9 @@ def ingest(stream: Iterable[ScanRecord]) -> FingerprintMatrix:
         powers: Dict[str, float] = {}
         dbm: Dict[str, int] = {}
         for raw_bssid, rssi in rec.readings:
-            ap = canonical_bssid(raw_bssid)
+            ap = canonical.get(raw_bssid) if isinstance(raw_bssid, str) else None
+            if ap is None:
+                ap = canonical[raw_bssid] = canonical_bssid(raw_bssid)
             if not isinstance(rssi, int) or isinstance(rssi, bool):
                 raise FormatError(f"record {i}: RSSI must be an integer, got {rssi!r}")
             if ap in powers:

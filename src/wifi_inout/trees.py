@@ -14,7 +14,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import FormatError, require_int64
+from .errors import FormatError, require_int64, require_number
 
 _MIN_GAIN = 1e-12
 
@@ -89,6 +89,8 @@ class Tree:
     def from_dict(obj: dict) -> "Tree":
         for key in ("feature", "left", "right"):
             require_int64(obj[key], f"tree {key} entries")
+        for key in ("threshold", "value", "gain"):
+            require_number(obj[key], f"tree {key} entries")
         return Tree(
             feature=np.asarray(obj["feature"], dtype=np.int64),
             threshold=np.asarray(obj["threshold"], dtype=np.float64),

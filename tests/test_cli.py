@@ -493,6 +493,13 @@ def _set_root_entry(key, value):
 ], ids=["seed-7.9", "seed-true", "seed-str", "seed-2^63", "feature-frac", "left-frac",
         "right-frac", "left-true", "right-1e30"])
 def test_non_integer_model_field_makes_predict_exit_one(tmp_path, capsys, rf_run, corrupt):
+    err = _predict_with_corrupted_model(tmp_path, capsys, rf_run, corrupt)
+    assert "error:" in err and "Traceback" not in err
+
+
+def _predict_with_corrupted_model(tmp_path, capsys, rf_run, corrupt):
+    """Run `predict` with a corrupted copy of the saved RF model; it must
+    exit 1. Returns its stderr."""
     model, scans = rf_run
     model = json.loads(json.dumps(model))
     corrupt(model)
@@ -501,8 +508,36 @@ def test_non_integer_model_field_makes_predict_exit_one(tmp_path, capsys, rf_run
     capsys.readouterr()
     assert main(["predict", "--model", str(bad), "--scans", str(scans),
                  "--out", str(tmp_path / "p.jsonl")]) == 1
-    err = capsys.readouterr().err
-    assert "error:" in err and "Traceback" not in err
+    return capsys.readouterr().err
+
+
+def _set_tree_entries(key, convert):
+    def corrupt(model):
+        tree = model["trees"][0]
+        tree[key] = [convert(v) for v in tree[key]]
+    return corrupt
+
+
+def _set_feature_names(convert):
+    def corrupt(model):
+        model["feature_names"] = convert(model["feature_names"])
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_set_tree_entries("threshold", str), "tree threshold entries must be numbers"),
+    (_set_tree_entries("threshold", lambda v: True), "tree threshold entries must be numbers"),
+    (_set_tree_entries("value", str), "tree value entries must be numbers"),
+    (_set_tree_entries("gain", lambda v: False), "tree gain entries must be numbers"),
+    (_set_tree_entries("threshold", lambda v: 10**400), "bad model file"),
+    (_set_feature_names("".join), "feature_names must be a list of strings"),
+    (_set_feature_names(lambda names: [1] + names[1:]), "feature_names must be a list of strings"),
+], ids=["threshold-str", "threshold-true", "value-str", "gain-false", "threshold-1e400",
+        "names-str", "names-int"])
+def test_non_numeric_model_field_makes_predict_exit_one(tmp_path, capsys, rf_run, corrupt,
+                                                        message):
+    err = _predict_with_corrupted_model(tmp_path, capsys, rf_run, corrupt)
+    assert message in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("entry", ['"cluster": 3.5', '"cluster": 10000000000000000000000000000000'])

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
-from wifi_inout import clustering
+from wifi_inout import clustering, fpindex
 from wifi_inout.clustering import (
     ClusterParams,
     _canonical,
@@ -161,20 +161,75 @@ def test_cluster_matches_reference_dbscan(scans, eps, min_pts, permute, rnd):
     assert np.array_equal(cluster(m, params, index, order).cluster_of, expected.cluster_of)
 
 
-def test_each_fingerprint_is_queried_at_most_once(rng, monkeypatch):
-    m = random_scan_matrix(rng, 200, ap_pool=20, empty_prob=0.1)
+@settings(max_examples=300, deadline=None)
+@given(
+    _scans,
+    st.lists(st.tuples(st.integers(0, 10**6), st.integers(-5, 5), st.booleans()),
+             min_size=1, max_size=40),
+    st.floats(0.0, 1.5),
+    st.booleans(),
+    st.randoms(),
+)
+def test_cluster_matches_reference_dbscan_on_repeated_rank_maps(pool, draws, eps, permute, rnd):
+    """Scans drawn from a small pool, each shifted by a constant dBm, so
+    rank maps repeat and repeats take a memoised answer at min_pts = 1.
+    Some draws reverse the pool scan's order: same APs, other ranks."""
+    m = make_matrix([{ap: (-110 - r if flip else r) + shift
+                      for ap, r in pool[i % len(pool)].items()} for i, shift, flip in draws])
     index = build_index(m)
-    queried = []
+    order = rnd.sample(range(m.T), m.T) if permute else None
+    params = ClusterParams(eps=eps)
+    expected = reference_dbscan(m, params, index, order)
+    assert np.array_equal(cluster(m, params, index, order).cluster_of, expected.cluster_of)
+
+
+def _with_repeats(rng, T, pool):
+    """T scans drawn from `pool` random scans, each draw shifted by a random
+    dBm offset (same rank map, other powers); includes empty scans."""
+    base = random_scan_matrix(rng, pool, ap_pool=20, empty_prob=0.1)
+    scans = []
+    for i in rng.integers(0, pool, size=T):
+        shift = int(rng.integers(-5, 6))
+        scans.append({ap: r + shift for ap, r in base.fingerprints[i].rssi_dbm.items()})
+    return make_matrix(scans)
+
+
+def _first_occurrences(m):
+    """The first scan of each distinct non-empty rank map."""
+    firsts, seen = [], []
+    for t, fp in enumerate(m.fingerprints):
+        if not fp.is_empty() and fp.ranks() not in seen:
+            firsts.append(t)
+            seen.append(fp.ranks())
+    return firsts
+
+
+def test_each_fingerprint_is_queried_at_most_once(rng, monkeypatch):
+    m = _with_repeats(rng, 200, 60)
+    firsts = _first_occurrences(m)
+    n_empty = sum(fp.is_empty() for fp in m.fingerprints)
+    assert n_empty > 0 and 60 < m.T - n_empty - len(firsts)  # empties and repeats occur
+    index = build_index(m)
+    queried, computed = [], []
 
     def counting(q, *args):
         queried.append(int(q))
         return region_query_arr(q, *args)
 
+    def computing(q, *args):
+        computed.append(int(q))
+        return candidate_distances(q, *args)
+
+    candidate_distances = fpindex._candidate_distances
     monkeypatch.setattr(clustering, "region_query_arr", counting)
+    monkeypatch.setattr(fpindex, "_candidate_distances", computing)
     for eps in (0.0, 0.22, 0.5):
         queried.clear()
+        computed.clear()
         cluster(m, ClusterParams(eps=eps), index)
         assert sorted(queried) == list(range(m.T))  # exactly once at min_pts = 1
+        # a repeated rank map takes its first occurrence's answer
+        assert sorted(computed) == firsts
         for min_pts in (2, 3, 6):
             queried.clear()
             cluster(m, ClusterParams(eps=eps, min_pts=min_pts), index)
@@ -197,6 +252,53 @@ def test_prefix_partitions_equal_cluster_on_every_prefix(seed, T, eps, data):
         prefix = m.prefix(n)
         expected = cluster(prefix, params, build_index(prefix))
         assert np.array_equal(assignment.cluster_of, expected.cluster_of)
+
+
+def _partitions(scans, eps, ends):
+    """cluster's labels, then prefix_partitions' labels at each of `ends`."""
+    m = make_matrix(scans)
+    params = ClusterParams(eps=eps)
+    index = build_index(m)
+    return [cluster(m, params, index).cluster_of] + [
+        a.cluster_of for _, a in prefix_partitions(m, params, index, ends)]
+
+
+def _same(got, expected):
+    return len(got) == len(expected) and all(map(np.array_equal, got, expected))
+
+
+_metamorphic_scans = st.lists(
+    st.dictionaries(st.integers(0, 7).map(mac), st.integers(-70, -40), max_size=5),
+    min_size=1, max_size=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_metamorphic_scans, st.floats(0.0, 1.5), st.data())
+def test_monotone_rssi_shift_per_scan_keeps_ranks_and_partition(scans, eps, data):
+    """Each scan's RSSIs go through their own strictly increasing map (ties
+    stay ties); the rank maps and both partitions stay the same."""
+    shifted = []
+    for scan in scans:
+        levels = sorted(set(scan.values()))
+        gaps = data.draw(st.lists(st.integers(1, 9), min_size=len(levels),
+                                  max_size=len(levels)))
+        base = data.draw(st.integers(-110, -30 - sum(gaps)))
+        new_level = dict(zip(levels, (base + np.cumsum(gaps)).tolist()))
+        shifted.append({ap: new_level[r] for ap, r in scan.items()})
+    ends = sorted(data.draw(st.lists(st.integers(0, len(scans)), min_size=1, max_size=4)))
+    assert [fp.ranks() for fp in make_matrix(shifted).fingerprints] == [
+        fp.ranks() for fp in make_matrix(scans).fingerprints]
+    assert _same(_partitions(shifted, eps, ends), _partitions(scans, eps, ends))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_metamorphic_scans, st.floats(0.0, 1.5), st.permutations(range(8)), st.data())
+def test_bijective_bssid_renaming_keeps_partition(scans, eps, perm, data):
+    rename = {mac(i): mac(100 + j) for i, j in enumerate(perm)}
+    renamed = [{rename[ap]: r for ap, r in scan.items()} for scan in scans]
+    ends = sorted(data.draw(st.lists(st.integers(0, len(scans)), min_size=1, max_size=4)))
+    assert _same(_partitions(renamed, eps, ends), _partitions(scans, eps, ends))
 
 
 def test_prefix_partitions_join_exactly_the_eps_pairs_of_each_prefix(rng, monkeypatch):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wifi_inout.errors import ConfigError, IndexRangeError
-from wifi_inout.fpindex import build_index, region_query, region_query_arr
+from wifi_inout.fpindex import _candidate_distances, build_index, region_query, region_query_arr
 from wifi_inout.distance import distance
 
 from conftest import mac, make_matrix, random_scan_matrix
@@ -151,3 +151,124 @@ def test_live_query_equals_filtered_query(scans, eps, steps, rnd):
                               index.posting_ranks[ap][np.isin(index.postings[ap], a)])
     assert index.postings.keys() == before.keys()
     assert all(np.array_equal(index.postings[ap], a) for ap, a in before.items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _scans,
+    st.lists(st.tuples(st.integers(0, 10**6), st.integers(-5, 5)), min_size=1, max_size=40),
+    st.floats(0.0, 1.5),
+    st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 3)), max_size=40),
+    st.randoms(),
+)
+def test_memo_query_equals_filtered_query(pool, draws, eps, steps, rnd):
+    """On scans that repeat rank maps (a pool scan shifted by a constant
+    dBm), queries sharing one memo under a shrinking `live` mask return the
+    unmasked result filtered by `live`, and the memo holds one answer per
+    distinct non-empty rank map queried."""
+    scans = [{ap: r + shift for ap, r in pool[i % len(pool)].items()} for i, shift in draws]
+    m = make_matrix(scans)
+    index = build_index(m)
+    private = replace(index, postings=dict(index.postings),
+                      posting_ranks=dict(index.posting_ranks))
+    live = np.ones(m.T, dtype=bool)
+    memo = {}
+    settle = rnd.sample(range(m.T), m.T)
+    for raw_q, n_settled in steps:
+        live[settle[:n_settled]] = False
+        del settle[:n_settled]
+        q = raw_q % m.T
+        full = region_query_arr(q, eps, index, m)
+        assert np.array_equal(region_query_arr(q, eps, private, m, live, memo), full[live[full]])
+    queried = {frozenset(m.fingerprints[raw_q % m.T].ranks().items()) for raw_q, _ in steps}
+    assert memo.keys() == queried - {frozenset()}
+
+
+def reference_candidate_distances(q, index, m, live=None):
+    """The six-bincount form `_candidate_distances` replaced, kept as its
+    reference: the squared ranks of shared APs are summed per candidate and
+    enter both the shared and the one-sided terms."""
+    ranks_q = m.fingerprints[q].ranks()
+    chunks_idx = []
+    chunks_rc = []
+    for ap in ranks_q:
+        arr = index.postings[ap]
+        rc = index.posting_ranks[ap]
+        if live is not None:
+            keep = live[arr]
+            if not keep.all():
+                arr = index.postings[ap] = arr[keep]
+                rc = index.posting_ranks[ap] = rc[keep]
+        chunks_idx.append(arr)
+        chunks_rc.append(rc)
+    cand = np.concatenate(chunks_idx)
+    rq = np.repeat(
+        np.fromiter(ranks_q.values(), float, len(ranks_q)), [len(a) for a in chunks_idx]
+    )
+    rc = np.concatenate(chunks_rc)
+
+    uniq, inv = np.unique(cand, return_inverse=True)
+    nb = len(uniq)
+    o = np.bincount(inv, minlength=nb).astype(np.float64)
+    s_rq = np.bincount(inv, weights=rq, minlength=nb)
+    s_rc = np.bincount(inv, weights=rc, minlength=nb)
+    s_rq2 = np.bincount(inv, weights=rq * rq, minlength=nb)
+    s_rc2 = np.bincount(inv, weights=rc * rc, minlength=nb)
+    s_cross = np.bincount(inv, weights=rq * rc, minlength=nb)
+
+    kq = float(index.k[q])
+    kc = index.k[uniq].astype(np.float64)
+    n = kq + kc - o
+    mq = kq - o
+    mc = kc - o
+    a_c = kc + (mq + 1.0) / 2.0
+    a_q = kq + (mc + 1.0) / 2.0
+    sq_sum = kq * (kq + 1.0) / 2.0
+    sc_sum = kc * (kc + 1.0) / 2.0
+
+    shared = s_rq2 + s_rc2 - 2.0 * s_cross
+    q_only = (index.rank_sumsq[q] - s_rq2) - 2.0 * a_c * (sq_sum - s_rq) + mq * a_c * a_c
+    c_only = (index.rank_sumsq[uniq] - s_rc2) - 2.0 * a_q * (sc_sum - s_rc) + mc * a_q * a_q
+    ssd = shared + q_only + c_only
+
+    dist = np.zeros(nb)
+    nontrivial = n > 1.0
+    denom = n * (n * n - 1.0)
+    dist[nontrivial] = 6.0 * ssd[nontrivial] / denom[nontrivial]
+    return uniq, dist
+
+
+_wide_scans = st.lists(
+    st.dictionaries(st.integers(0, 11).map(mac), st.integers(-60, -40), max_size=9),
+    min_size=1, max_size=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _wide_scans,
+    st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 3)), max_size=40),
+    st.randoms(),
+)
+def test_candidate_distances_equal_six_bincount_reference(scans, steps, rnd):
+    """Same candidates and bit-equal distances as the reference, on the
+    shared index and on two private copies queried under one shrinking
+    `live` mask."""
+    m = make_matrix(scans)
+    index = build_index(m)
+    private = [replace(index, postings=dict(index.postings),
+                       posting_ranks=dict(index.posting_ranks)) for _ in range(2)]
+    nonempty = np.flatnonzero(~index.empty_mask)
+    live = np.ones(m.T, dtype=bool)
+    settle = rnd.sample(range(m.T), m.T)
+    for raw_q, n_settled in steps:
+        if not len(nonempty):
+            break
+        q = int(nonempty[raw_q % len(nonempty)])
+        for ours, theirs, mask in ((index, index, None), (private[0], private[1], live)):
+            got = _candidate_distances(q, ours, m, mask)
+            expected = reference_candidate_distances(q, theirs, m, mask)
+            assert np.array_equal(got[0], expected[0])
+            assert np.array_equal(got[1].view(np.int64), expected[1].view(np.int64))
+        live[settle[:n_settled]] = False
+        del settle[:n_settled]

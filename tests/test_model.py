@@ -49,6 +49,35 @@ def test_canonical_bssid_rejects(bad):
         canonical_bssid(bad)
 
 
+_BSSID_FORMS = [str.upper, lambda a: a.replace(":", "-"), lambda a: a.replace(":", ""),
+                lambda a: f" {a.upper().replace(':', '-')} ", lambda a: a]
+
+
+def test_ingest_normalizes_mixed_bssid_forms_like_canonical_bssid(rng):
+    base = random_scan_matrix(rng, 80, ap_pool=12)
+    scans = [
+        {_BSSID_FORMS[int(rng.integers(len(_BSSID_FORMS)))](ap): r
+         for ap, r in fp.rssi_dbm.items()}
+        for fp in base.fingerprints
+    ]
+    assert len({raw for scan in scans for raw in scan}) > 3 * base.N  # forms do mix
+    reference = make_matrix([{canonical_bssid(raw): r for raw, r in scan.items()}
+                             for scan in scans])
+    assert make_matrix(scans) == reference == base
+
+
+@pytest.mark.parametrize("bad", ["AA:BB:CC:00:11", "aabbcc00112g", 7, ["aa:bb:cc:00:11:22"]])
+def test_ingest_rejects_a_malformed_bssid_after_good_ones(bad):
+    good = {"AA-BB-CC-00-11-22": -40, "aabbcc001133": -50}
+    records = make_records([good, good])
+    records[1].readings.append((bad, -60))
+    with pytest.raises(FormatError) as got:
+        ingest(records)
+    with pytest.raises(FormatError) as expected:
+        canonical_bssid(bad)
+    assert str(got.value) == str(expected.value)
+
+
 def test_is_empty():
     assert Fingerprint(seq=0, powers={}).is_empty()
     f = Fingerprint(seq=1, powers={"aa:bb:cc:00:11:22": rssi_to_power(-90)})
