@@ -149,8 +149,8 @@ def cmd_select_dims(args) -> int:
     report = select_neighborhood_sizes(table, _node_labels(assignment, m, cfg))
     print("feature            coef        t         p      selected")
     for e in report.entries:
-        if e.constant:
-            print(f"{e.name:<16} constant column, dropped")
+        if e.constant or e.aliased:
+            print(f"{e.name:<16} {'constant' if e.constant else 'aliased'} column, dropped")
             continue
         mark = "*" if e.selected else ""
         print(f"{e.name:<16} {e.coef:> 9.4f} {e.t_stat:> 8.3f} {e.p_value:> 9.5f}  {mark}")
@@ -159,6 +159,7 @@ def cmd_select_dims(args) -> int:
         "name": e.name, "family": e.family, "d": e.d,
         "coef": e.coef, "t": e.t_stat, "p": e.p_value,
         "selected": e.selected, "constant": e.constant,
+        **({"aliased": True} if e.aliased else {}),
     } for e in report.entries])
     return 0
 

@@ -15,9 +15,11 @@ so its query takes the first one's answer (`region_query_arr`'s `memo`).
 An empty scan is always computed, since an empty pair's distance depends
 on stream position.
 
-At min_pts = 1 appending a fingerprint only adds eps-edges, so one pass
-over a stream gives the partition of every prefix (`prefix_partitions`;
-Ester et al., VLDB 1998).
+At min_pts = 1 appending a fingerprint only adds eps-edges, so the
+eps-edges of a whole stream, found once, give the partition of every
+prefix (`prefix_partitions`; Ester et al., VLDB 1998). They come from one
+blocked sparse self-join over the stream's scans (`fpindex.eps_edges`)
+rather than one region query per scan.
 
 A partition is stored once, as its label vector `cluster_of`; cluster
 sizes and member lists are derived from it.
@@ -36,7 +38,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import ConfigError, CoverageError, FormatError, IndexRangeError, require_int64
-from .fpindex import FingerprintIndex, region_query_arr
+from .fpindex import FingerprintIndex, eps_edges, region_query_arr
 from .model import FingerprintMatrix
 
 
@@ -161,30 +163,25 @@ def prefix_partitions(
     """Yield (n, partition of m's first n fingerprints) for each n in the
     non-decreasing `ends`, equal to `cluster` on each prefix (min_pts = 1).
 
-    Each fingerprint t < ends[-1] is region-queried once on `index`, an
-    index of the whole of m, and keeps its neighbours j < t: the distance
-    is symmetric, so a prefix's eps-edges are the ones found by its own
-    fingerprints. The partition of a prefix is the connected components
-    of its edges.
+    One self-join over the first ends[-1] fingerprints of `index`, an
+    index of the whole of m, finds every eps-edge (t, j < t) once
+    (`eps_edges`). The edges come in ascending t, so a prefix's edges are
+    a leading run of them, and its partition is their connected
+    components.
     """
     params.validate()
     if params.min_pts != 1:
         raise ConfigError(f"prefix partitions need min_pts = 1, got {params.min_pts}")
-    heads = [np.empty(0, dtype=np.int64)]  # edge t -> j for every j < t within eps
-    tails = [np.empty(0, dtype=np.int64)]
     done = 0
     for n in ends:
         if not done <= n <= m.T:
             raise IndexRangeError(f"prefix end {n} not in [{done}, {m.T}]")
-        for t in range(done, n):
-            neigh = region_query_arr(t, params.eps, index, m)
-            earlier = neigh[neigh < t]
-            heads.append(np.full(len(earlier), t, dtype=np.int64))
-            tails.append(earlier)
         done = n
-        head, tail = np.concatenate(heads), np.concatenate(tails)
-        heads, tails = [head], [tail]
-        edges = csr_matrix((np.ones(len(head), dtype=bool), (head, tail)), shape=(n, n))
+    head, tail = eps_edges(index, done, params.eps)
+    for n in ends:
+        indptr = np.searchsorted(head, np.arange(n + 1))  # row t: the edges headed t
+        edges = csr_matrix((np.ones(indptr[-1], dtype=bool), tail[:indptr[-1]], indptr),
+                           shape=(n, n))
         _, labels = connected_components(edges, directed=False)
         yield n, _canonical(labels)
 

@@ -71,7 +71,8 @@ class NodeRangeError(WifiInoutError):
 # --- features / learner ---------------------------------------------------
 
 class RankDeficiencyError(WifiInoutError):
-    """Regression design matrix is collinear after pruning constants."""
+    """Regression design leaves no residual degree of freedom once constant
+    and aliased columns are dropped."""
 
 
 class DegenerateLabelsError(WifiInoutError):

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.linalg import qr
 from scipy.stats import t as student_t
 
 from .errors import (
@@ -139,6 +140,7 @@ class SelectionEntry:
     p_value: Optional[float]
     selected: bool
     constant: bool = False
+    aliased: bool = False  # a linear combination of the fitted columns
 
 
 @dataclass
@@ -163,7 +165,15 @@ def select_neighborhood_sizes(
     """OLS of the label (indoor = 1, outdoor = 0) on every (family, d)
     feature; a feature is selected when its two-sided t-test p-value is
     <= alpha. Constant columns are dropped before the fit and reported
-    unselected."""
+    unselected.
+
+    A column that is a linear combination of others (a hop bound past
+    which a family stops changing, say) is aliased: a pivoted QR of the
+    centred columns picks a basis of the design deterministically, and
+    the rest are reported unselected and aliased, as R's `lm` reports NA
+    coefficients. A design with no residual degree of freedom left
+    raises RankDeficiencyError.
+    """
     if len(labels) != table.n_nodes:
         raise FormatError("one label slot per node required")
     keep_rows = [i for i, lab in enumerate(labels) if lab in (INDOOR, OUTDOOR)]
@@ -173,16 +183,21 @@ def select_neighborhood_sizes(
     X = table.rows[keep_rows]
 
     variable = [j for j in range(X.shape[1]) if np.ptp(X[:, j]) > 0]
-    Xv = X[:, variable]
-    design = np.column_stack([np.ones(len(Xv)), Xv])
+    design = np.column_stack([np.ones(len(X)), X[:, variable]])
+    rank = np.linalg.matrix_rank(design)
+    fitted = variable
+    if rank < design.shape[1]:
+        _, pivots = qr(design[:, 1:] - design[:, 1:].mean(axis=0), mode="r", pivoting=True)
+        fitted = [variable[k] for k in np.sort(pivots[:rank - 1])]
+        design = np.column_stack([np.ones(len(X)), X[:, fitted]])
     n, p = design.shape
-    if np.linalg.matrix_rank(design) < p:
+    dof = n - p
+    if dof <= 0:
         raise RankDeficiencyError(
-            f"design is collinear after pruning constants ({p} columns, rank deficient)"
+            f"design has no residual degree of freedom ({n} rows, rank {p})"
         )
     beta, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
     resid = y - design @ beta
-    dof = n - p
     s2 = float(resid @ resid) / dof
     cov = s2 * np.linalg.inv(design.T @ design)
     se = np.sqrt(np.diag(cov))
@@ -190,8 +205,8 @@ def select_neighborhood_sizes(
     p_values = 2.0 * student_t.sf(np.abs(t_stats), dof)
 
     stats = {
-        variable[k]: (float(beta[k + 1]), float(t_stats[k + 1]), float(p_values[k + 1]))
-        for k in range(len(variable))
+        fitted[k]: (float(beta[k + 1]), float(t_stats[k + 1]), float(p_values[k + 1]))
+        for k in range(len(fitted))
     }
     entries = []
     for j, name in enumerate(table.names):
@@ -204,8 +219,8 @@ def select_neighborhood_sizes(
             )
         else:
             entries.append(
-                SelectionEntry(name, family, int(d_str), None, None, None,
-                               selected=False, constant=True)
+                SelectionEntry(name, family, int(d_str), None, None, None, selected=False,
+                               constant=j not in variable, aliased=j in variable)
             )
     return FeatureSelectionReport(entries=entries, n_nodes=len(keep_rows), dof=dof)
 

@@ -12,6 +12,10 @@ stream positions has distance 0; `empty_mask` marks the empty positions
 and makes those pairs reachable, since AP postings alone can never
 surface them.
 
+`eps_edges` finds every eps-pair of a stream's leading fingerprints at
+once, from sparse products of the rank matrix the postings hold; it and
+the region query compute distances with one formula (`_rank_distances`).
+
 A query given a `live` mask skips every fingerprint the mask clears and
 drops those entries from the postings it reads, so later queries on the
 same index never read them again. Only a private copy of an index that
@@ -22,12 +26,16 @@ other index is left as `build_index` made it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
+from scipy.sparse import csc_matrix, csr_matrix
 
 from .errors import ConfigError, IndexRangeError
 from .model import FingerprintMatrix
+
+# query rows per sparse product in `eps_edges`; bounds the product's size
+_JOIN_BLOCK = 128
 
 
 @dataclass
@@ -108,29 +116,78 @@ def _candidate_distances(
     s_rq = np.bincount(inv, weights=rq, minlength=nb)
     s_rc = np.bincount(inv, weights=rc, minlength=nb)
     s_cross = np.bincount(inv, weights=rq * rc, minlength=nb)
+    dist = _rank_distances(float(index.k[q]), index.k[uniq].astype(np.float64), o,
+                           s_rq, s_rc, s_cross, index.rank_sumsq[q], index.rank_sumsq[uniq])
+    return uniq, dist
 
-    kq = float(index.k[q])
-    kc = index.k[uniq].astype(np.float64)
+
+def _rank_distances(kq, kc, o, s_rq, s_rc, s_cross, sumsq_q, sumsq_c):
+    """Exact rank distances of query/candidate pairs sharing o >= 1 APs,
+    from the AP counts kq and kc, the sums over the shared APs of the
+    query's ranks s_rq, the candidate's ranks s_rc and their products
+    s_cross, and each side's sum of squared ranks. Scalars broadcast."""
     n = kq + kc - o
     mq = kq - o                     # union APs missing from the candidate
     mc = kc - o                     # union APs missing from the query
     a_c = kc + (mq + 1.0) / 2.0     # tied rank a query-only AP takes in c
     a_q = kq + (mc + 1.0) / 2.0     # tied rank a candidate-only AP takes in q
-    sq_sum = kq * (kq + 1.0) / 2.0  # rank sums are k(k+1)/2 even with ties
-    sc_sum = kc * (kc + 1.0) / 2.0
-
-    # (rq - rc)^2 over shared APs plus each side's missing APs at their tied
-    # rank; the shared rq^2 and rc^2 are inside rank_sumsq. Every term is an
-    # exact quarter-integer, so no order of summation changes a bit.
-    q_only = index.rank_sumsq[q] - 2.0 * a_c * (sq_sum - s_rq) + mq * a_c * a_c
-    c_only = index.rank_sumsq[uniq] - 2.0 * a_q * (sc_sum - s_rc) + mc * a_q * a_q
+    # rank sums are k(k+1)/2 even with ties; (rq - rc)^2 over shared APs
+    # plus each side's missing APs at their tied rank, where the shared rq^2
+    # and rc^2 are inside the sums of squared ranks. Every term is an exact
+    # quarter-integer, so no order of summation changes a bit.
+    q_only = sumsq_q - 2.0 * a_c * (kq * (kq + 1.0) / 2.0 - s_rq) + mq * a_c * a_c
+    c_only = sumsq_c - 2.0 * a_q * (kc * (kc + 1.0) / 2.0 - s_rc) + mc * a_q * a_q
     ssd = q_only + c_only - 2.0 * s_cross
+    # n == 1 is an identical single-AP pair: ssd is 0, and so the distance
+    return 6.0 * ssd / np.where(n > 1.0, n * (n * n - 1.0), 1.0)
 
-    dist = np.zeros(nb)
-    nontrivial = n > 1.0  # n == 1 means identical single-AP pair: distance 0
-    denom = n * (n * n - 1.0)
-    dist[nontrivial] = 6.0 * ssd[nontrivial] / denom[nontrivial]
-    return uniq, dist
+
+def eps_edges(index: FingerprintIndex, n: int, eps: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Every pair j < t < n of indexed fingerprints within eps, as arrays
+    (head t, tail j) in ascending head order.
+
+    One blocked sparse self-join over the first n fingerprints (an
+    all-pairs similarity search; Bayardo, Ma & Srikant, WWW 2007). With R
+    their n x N rank matrix, which the postings hold in CSC form, B its
+    0/1 pattern and Z = B + iR, a block of heads [lo, hi) gets
+    B[lo:hi] @ Z[:hi].T = o + i s_rc and R[lo:hi] @ Z[:hi].T = s_rq + i
+    s_cross for every pair sharing an AP. No entry is 0, so the two
+    products hold the same pairs in the same order. The pairs t > j go
+    through `_rank_distances`, once each. Adjacent empty fingerprints are
+    at distance 0 and share no AP, so they are added apart.
+    """
+    aps = list(index.postings)
+    indptr = np.cumsum([0] + [len(index.postings[a]) for a in aps])
+    ranks = csc_matrix(
+        (np.concatenate([index.posting_ranks[a] for a in aps] or [np.empty(0)]),
+         np.concatenate([index.postings[a] for a in aps] or [np.empty(0, np.int64)]),
+         indptr),
+        shape=(index.T, len(aps)),
+    ).tocsr()[:n]
+    pattern = csr_matrix((np.ones_like(ranks.data), ranks.indices, ranks.indptr), ranks.shape)
+    z = csr_matrix((1.0 + 1j * ranks.data, ranks.indices, ranks.indptr), ranks.shape)
+    k = index.k.astype(np.float64)
+    empty = index.empty_mask[:n]
+    empty_heads = np.flatnonzero(empty[1:] & empty[:-1]).astype(np.int32) + 1
+    heads, tails = [np.empty(0, np.int32)], [np.empty(0, np.int32)]
+    for lo in range(0, n, _JOIN_BLOCK):
+        hi = min(n, lo + _JOIN_BLOCK)
+        zt = z[:hi].T.tocsr()
+        shared = pattern[lo:hi] @ zt   # o + i s_rc
+        query = ranks[lo:hi] @ zt      # s_rq + i s_cross
+        t = np.repeat(np.arange(lo, hi, dtype=np.int32), np.diff(shared.indptr))
+        pair = shared.indices < t
+        t, j = t[pair], shared.indices[pair]
+        shared, query = shared.data[pair], query.data[pair]
+        dist = _rank_distances(k[t], k[j], shared.real, query.real, shared.imag, query.imag,
+                               index.rank_sumsq[t], index.rank_sumsq[j])
+        close = dist <= eps
+        t, j = t[close], j[close]
+        e = empty_heads[np.searchsorted(empty_heads, lo):np.searchsorted(empty_heads, hi)]
+        at = np.searchsorted(t, e)  # an empty head has no shared-AP pair
+        heads.append(np.insert(t, at, e))
+        tails.append(np.insert(j, at, e - 1))
+    return np.concatenate(heads), np.concatenate(tails)
 
 
 def region_query_arr(

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -27,13 +28,16 @@ from .errors import (
 )
 from .features import FeatureTable
 from .model import INDOOR, OUTDOOR
-from .trees import Tree, grow_tree
+from .trees import Ensemble, Tree, grow_tree
 
 RANDOM_FOREST = "random_forest"
 GBM = "gbm"
 
 RF_DEFAULTS = {"n_trees": 100, "max_features": None, "min_leaf": 1, "max_depth": None}
 GBM_DEFAULTS = {"n_rounds": 100, "depth": 3, "learning_rate": 0.1, "min_leaf": 1}
+
+# rows per walk in Model.score; bounds the (trees x rows) walk state
+_ROW_BLOCK = 256
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -91,22 +95,36 @@ class Model:
     trees: List[Tree] = field(default_factory=list)
     f0: float = 0.0  # gbm intercept (weighted log-odds)
 
+    @cached_property
+    def ensemble(self) -> Ensemble:
+        """The trees packed for one walk; packed at the first score, so
+        the trees must not change after it."""
+        return Ensemble.pack(self.trees)
+
     def score(self, X: np.ndarray) -> np.ndarray:
-        """Probability of indoor per row, in [0, 1]."""
+        """Probability of indoor per row, in [0, 1].
+
+        Rows go in blocks of _ROW_BLOCK through one walk of every tree
+        (`Ensemble.apply`). Forest votes are integer counts; boosting adds
+        each tree's learning-rate-scaled leaf value in tree order, as one
+        tree at a time would.
+        """
         if X.ndim != 2 or X.shape[1] != len(self.feature_names):
             raise FeatureMismatchError(
                 f"expected {len(self.feature_names)} feature columns, got {X.shape}"
             )
-        if self.kind == RANDOM_FOREST:
-            votes = np.zeros(len(X))
-            for tree in self.trees:
-                votes += tree.predict(X) >= 0.5
-            return votes / len(self.trees)
-        F = np.full(len(X), self.f0)
-        lr = self.hyperparameters["learning_rate"]
-        for tree in self.trees:
-            F += lr * tree.predict(X)
-        return _sigmoid(F)
+        ensemble = self.ensemble
+        out = np.empty(len(X))
+        for lo in range(0, len(X), _ROW_BLOCK):
+            values = ensemble.value[ensemble.apply(X[lo:lo + _ROW_BLOCK])]
+            if self.kind == RANDOM_FOREST:
+                out[lo:lo + _ROW_BLOCK] = np.count_nonzero(values >= 0.5, axis=0) / len(self.trees)
+            else:
+                F = np.full(values.shape[1], self.f0)
+                for v in self.hyperparameters["learning_rate"] * values:
+                    F += v
+                out[lo:lo + _ROW_BLOCK] = _sigmoid(F)
+        return out
 
     # --- persistence: self-describing JSON text, exact round-trip ---
 

@@ -35,25 +35,9 @@ class Tree:
         return len(self.feature)
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        """Leaf node id per row (x <= threshold routes left).
-
-        All rows descend together, one tree level per pass: rows that
-        reached a leaf drop out, the rest take one step in one vectorized
-        comparison. Children come after their parent (`check`, `grow_tree`),
-        so every row reaches a leaf within n_nodes passes.
-        """
-        node = np.zeros(len(X), dtype=np.int64)
-        rows = np.arange(len(X))
-        while rows.size:
-            at = node[rows]
-            inner = self.feature[at] >= 0
-            rows, at = rows[inner], at[inner]
-            left = X[rows, self.feature[at]] <= self.threshold[at]
-            node[rows] = np.where(left, self.left[at], self.right[at])
-        return node
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return self.value[self.apply(X)]
+        """Leaf node id per row (x <= threshold routes left): the walk of
+        an ensemble of this one tree (`Ensemble.apply`)."""
+        return Ensemble.pack([self]).apply(X)[0]
 
     def check(self, n_features: int) -> None:
         """Raise FormatError unless every walk in `apply` ends at a leaf:
@@ -99,6 +83,75 @@ class Tree:
             value=np.asarray(obj["value"], dtype=np.float64),
             gain=np.asarray(obj["gain"], dtype=np.float64),
         )
+
+
+@dataclass(frozen=True)
+class Ensemble:
+    """Several trees' arrays concatenated, child ids shifted by each
+    tree's node offset, so one walk descends every (tree, row) pair (a
+    vectorised ensemble traversal; Asadi, Lin & de Vries, IEEE TKDE 2014).
+
+    A leaf loops to itself (both children are the leaf, split on column
+    0), so pairs that reach a leaf early stay there while deeper trees
+    go on. Trees are kept deepest first: pass d steps only the trees
+    deeper than d, a leading block of rows of the walk's state.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    roots: np.ndarray    # root id of each tree, deepest tree first
+    order: np.ndarray    # order[i]: the given position of the i-th deepest tree
+    deeper: np.ndarray   # deeper[d]: how many trees are deeper than d
+
+    @staticmethod
+    def pack(trees: List[Tree]) -> "Ensemble":
+        sizes = [t.n_nodes for t in trees]
+        offsets = np.concatenate([[0], np.cumsum(sizes[:-1], dtype=np.int64)])
+        feature = np.concatenate([t.feature for t in trees])
+        leaf = feature < 0
+        ids = np.arange(len(feature))
+        shift = np.repeat(offsets, sizes)
+        left = np.concatenate([t.left for t in trees]) + shift
+        right = np.concatenate([t.right for t in trees]) + shift
+        # every tree's depth, one level of all trees at a time; children
+        # come after their parent (`Tree.check`), so the levels end
+        tree_of = np.repeat(np.arange(len(trees)), sizes)
+        depth = np.zeros(len(trees), dtype=np.int64)
+        inner, d = offsets[~leaf[offsets]], 0  # the internal nodes at depth d
+        while inner.size:
+            d += 1
+            depth[tree_of[inner]] = d
+            below = np.concatenate([left[inner], right[inner]])
+            inner = below[~leaf[below]]
+        order = np.argsort(-depth, kind="stable")
+        return Ensemble(
+            feature=np.where(leaf, 0, feature),
+            threshold=np.concatenate([t.threshold for t in trees]),
+            left=np.where(leaf, ids, left),
+            right=np.where(leaf, ids, right),
+            value=np.concatenate([t.value for t in trees]),
+            roots=offsets[order],
+            order=order,
+            deeper=np.count_nonzero(depth > np.arange(depth.max(initial=0))[:, None], axis=1),
+        )
+
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        """Packed leaf id of every (tree, row) pair, trees in their given
+        order: all pairs descend together, one level per pass."""
+        n, p = X.shape
+        cells = np.arange(n) * p  # where each row starts in X.ravel()
+        flat = X.ravel()
+        node = np.repeat(self.roots[:, None], n, axis=1)
+        for k in self.deeper:
+            at = node[:k]
+            go_left = flat[cells + self.feature[at]] <= self.threshold[at]
+            node[:k] = np.where(go_left, self.left[at], self.right[at])
+        leaves = np.empty_like(node)
+        leaves[self.order] = node
+        return leaves
 
 
 def _impurity_mass(w_total, wy_total, wy2_total, criterion):

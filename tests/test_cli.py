@@ -200,6 +200,26 @@ def test_select_dims_subcommand(tmp_path, worlds):
     assert any(e["selected"] for e in entries)
 
 
+def test_select_dims_reports_aliased_columns_on_a_short_log(tmp_path, capsys):
+    """On a 40-minute world (800 scans) the hop-0..30 grid holds columns
+    that are linear combinations of others; they are reported aliased and
+    the rest are fitted, instead of the command refusing the design."""
+    spec = tmp_path / "short.cfg"
+    spec.write_text("seed = 2\nduration_s = 2400\n", encoding="utf-8")
+    scans = tmp_path / "short.scans"
+    out = tmp_path / "dims.jsonl"
+    assert main(["synth", "--spec", str(spec), "--out", str(scans)]) == 0
+    capsys.readouterr()
+    assert main(["select-dims", "--scans", str(scans), "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    entries = [json.loads(l) for l in out.read_text().splitlines()]
+    assert len(entries) == 4 * 31
+    aliased = [e for e in entries if e.get("aliased")]
+    assert aliased and all(e["coef"] is None and not e["selected"] for e in aliased)
+    assert all(e["coef"] is not None for e in entries if not e["constant"] and e not in aliased)
+    assert printed.count("aliased column, dropped") == len(aliased)
+
+
 def test_select_dims_negative_max_d_exits_one(tmp_path, capsys):
     scans = _tiny_scans(tmp_path)
     capsys.readouterr()

@@ -210,7 +210,7 @@ def test_each_fingerprint_is_queried_at_most_once(rng, monkeypatch):
     n_empty = sum(fp.is_empty() for fp in m.fingerprints)
     assert n_empty > 0 and 60 < m.T - n_empty - len(firsts)  # empties and repeats occur
     index = build_index(m)
-    queried, computed = [], []
+    queried, computed, pairs = [], [], []
 
     def counting(q, *args):
         queried.append(int(q))
@@ -220,9 +220,17 @@ def test_each_fingerprint_is_queried_at_most_once(rng, monkeypatch):
         computed.append(int(q))
         return candidate_distances(q, *args)
 
+    def measuring(kq, kc, o, *args):
+        pairs.append(len(o))
+        return rank_distances(kq, kc, o, *args)
+
     candidate_distances = fpindex._candidate_distances
+    rank_distances = fpindex._rank_distances
     monkeypatch.setattr(clustering, "region_query_arr", counting)
     monkeypatch.setattr(fpindex, "_candidate_distances", computing)
+    monkeypatch.setattr(fpindex, "_rank_distances", measuring)
+    aps = [set(fp.ranks()) for fp in m.fingerprints[:150]]
+    sharing = sum(bool(aps[q] & aps[c]) for c in range(150) for q in range(c))
     for eps in (0.0, 0.22, 0.5):
         queried.clear()
         computed.clear()
@@ -235,8 +243,10 @@ def test_each_fingerprint_is_queried_at_most_once(rng, monkeypatch):
             cluster(m, ClusterParams(eps=eps, min_pts=min_pts), index)
             assert len(queried) == len(set(queried))
         queried.clear()
+        pairs.clear()
         list(prefix_partitions(m, ClusterParams(eps=eps), index, [50, 120, 120, 150]))
-        assert queried == list(range(150))  # each of the longest prefix, once
+        # one self-join: every pair q < c < 150 sharing an AP, computed once
+        assert queried == [] and sum(pairs) == sharing
 
 
 @settings(max_examples=200, deadline=None)

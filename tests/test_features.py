@@ -283,8 +283,42 @@ def test_selection_errors_and_constants():
 
     dup = np.column_stack([np.arange(6.0), np.arange(6.0)])
     table = FeatureTable(names=["aps_d0", "aps_d1"], rows=dup)
+    report = select_neighborhood_sizes(table, labels)
+    assert [e.aliased for e in report.entries] == [False, True]
+    assert report.entries[0].coef is not None and report.dof == 4
+    assert report.entries[1].coef is None and not report.entries[1].selected
+
+    # as many independent columns as labelled rows leave no residual dof
+    square = np.column_stack([np.arange(6.0) ** k for k in range(1, 6)])
+    table = FeatureTable(names=[f"aps_d{k}" for k in range(5)], rows=square)
     with pytest.raises(RankDeficiencyError):
         select_neighborhood_sizes(table, labels)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 4))
+def test_aliased_columns_leave_the_fit_of_a_basis(seed, p, n_alias):
+    """Columns plus linear combinations of them: the combinations' count
+    of columns is reported aliased, the dof is that of the basis, and the
+    fitted columns report exactly what a table of them alone reports."""
+    rng = np.random.default_rng(seed)
+    n = 40
+    X = rng.normal(size=(n, p))
+    y = (rng.random(n) > 0.5).astype(float)
+    y[:2] = [0.0, 1.0]
+    labels = [INDOOR if v == 1.0 else OUTDOOR for v in y]
+    combos = X @ rng.integers(1, 3, size=(p, n_alias)) + rng.integers(-3, 4, size=n_alias)
+    names = [f"power_d{d}" for d in range(p)] + [f"aps_d{d}" for d in range(n_alias)]
+    report = select_neighborhood_sizes(
+        FeatureTable(names=names, rows=np.column_stack([X, combos])), labels)
+    assert sum(e.aliased for e in report.entries) == n_alias
+    assert not any(e.constant for e in report.entries)
+    assert report.dof == n - 1 - p
+    fitted = [j for j, e in enumerate(report.entries) if not e.aliased]
+    alone = select_neighborhood_sizes(
+        FeatureTable(names=[names[j] for j in fitted],
+                     rows=np.column_stack([X, combos])[:, fitted]), labels)
+    assert alone.entries == [report.entries[j] for j in fitted]
 
 
 def test_features_csv_round_trip(tmp_path, rng):

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wifi_inout import fpindex
 from wifi_inout.errors import ConfigError, IndexRangeError
-from wifi_inout.fpindex import _candidate_distances, build_index, region_query, region_query_arr
+from wifi_inout.fpindex import (
+    _candidate_distances, build_index, eps_edges, region_query, region_query_arr,
+)
 from wifi_inout.distance import distance
 
 from conftest import mac, make_matrix, random_scan_matrix
@@ -272,3 +275,26 @@ def test_candidate_distances_equal_six_bincount_reference(scans, steps, rnd):
             assert np.array_equal(got[1].view(np.int64), expected[1].view(np.int64))
         live[settle[:n_settled]] = False
         del settle[:n_settled]
+
+
+_tied_scans = st.lists(
+    st.dictionaries(st.integers(0, 6).map(mac), st.integers(-60, -57), max_size=5),
+    min_size=1, max_size=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tied_scans, st.one_of(st.just(0.0), st.floats(0.0, 1.5)), st.integers(1, 3),
+       st.data())
+def test_eps_edges_equal_brute_force_pairs(scans, eps, block, data):
+    """The self-join finds exactly the pairs j < t < n within eps, in
+    ascending t, at any block size; few RSSI levels make ties common."""
+    m = make_matrix(scans)
+    n = data.draw(st.integers(0, m.T))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fpindex, "_JOIN_BLOCK", block)
+        head, tail = eps_edges(build_index(m), n, eps)
+    assert np.all(np.diff(head) >= 0)
+    expected = {(t, j) for t in range(n) for j in region_scan(m, t, eps) if j < t}
+    assert len(head) == len(expected)
+    assert set(zip(head.tolist(), tail.tolist())) == expected

@@ -25,7 +25,10 @@ from wifi_inout.learner import (
 )
 from wifi_inout.model import INDOOR, OUTDOOR
 from wifi_inout.trees import Tree, grow_tree, split_gain
+from wifi_inout import learner
 from wifi_inout.evaluation import auc
+
+from test_trees import reference_apply
 
 
 def _assignment(members_per_cluster):
@@ -226,6 +229,62 @@ def _leaf_tree(value):
         left=np.array([-1]), right=np.array([-1]),
         value=np.array([float(value)]), gain=np.array([0.0]),
     )
+
+
+def reference_score(model, X):
+    """The per-tree loop `Model.score` replaced, kept as its reference:
+    forest votes add up one tree at a time, boosting adds each tree's
+    scaled leaf values in tree order."""
+    if model.kind == RANDOM_FOREST:
+        votes = np.zeros(len(X))
+        for tree in model.trees:
+            votes += tree.value[reference_apply(tree, X)] >= 0.5
+        return votes / len(model.trees)
+    F = np.full(len(X), model.f0)
+    lr = model.hyperparameters["learning_rate"]
+    for tree in model.trees:
+        F += lr * tree.value[reference_apply(tree, X)]
+    return 1.0 / (1.0 + np.exp(-np.clip(F, -60.0, 60.0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([RANDOM_FOREST, GBM]),
+    st.integers(1, 3),
+    st.one_of(st.none(), st.integers(0, 4)),
+    st.integers(0, 12),
+    st.integers(0, 3),
+    st.booleans(),
+    st.data(),
+)
+def test_packed_score_equals_per_tree_reference(seed, kind, p, depth, n_rows, n_leaves,
+                                                reload, data):
+    """Every tree walked at once, in row blocks of 1-3, scores exactly as
+    the per-tree loop: rows with NaN or a value at a split threshold, no
+    rows, root-only trees, and a model reloaded from its JSON."""
+    rng = np.random.default_rng(seed)
+    X, y, w = _separable(rng, n=30, p=p)
+    depth_key = "max_depth" if kind == RANDOM_FOREST else "depth"
+    hp = {"n_trees" if kind == RANDOM_FOREST else "n_rounds": 5, depth_key: depth}
+    if kind == GBM and depth is None:
+        hp[depth_key] = 3
+    model = train_arrays(X, y, w, [f"f{j}" for j in range(p)], kind=kind, seed=seed,
+                         hyperparameters=hp)
+    for v in rng.normal(0.5, 1.0, size=n_leaves):
+        model.trees.insert(int(rng.integers(0, len(model.trees) + 1)), _leaf_tree(v))
+    if reload:
+        model = Model.from_json(model.to_json())
+    Q = rng.normal(0.0, 3.0, size=(n_rows, p))
+    thresholds = np.concatenate([t.threshold[t.feature >= 0] for t in model.trees])
+    if n_rows and thresholds.size:
+        Q.flat[rng.integers(0, Q.size, size=Q.size // 2)] = rng.choice(thresholds, Q.size // 2)
+    if n_rows:
+        Q.flat[rng.integers(0, Q.size, size=Q.size // 4)] = np.nan
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(learner, "_ROW_BLOCK", data.draw(st.integers(1, 3)))
+        got = model.score(Q)
+    assert np.array_equal(got, reference_score(model, Q))
 
 
 def test_prediction_inheritance_and_threshold():
