@@ -95,6 +95,8 @@ class PipelineConfig:
             value = getattr(self, name)
             if value is not None and value < lo:  # None: an unset Optional
                 raise ConfigError(f"{name} must be >= {lo}, got {value}")
+        if self.seed > 2**63 - 1:  # model files hold the seed as an int64
+            raise ConfigError(f"seed must be <= 2**63 - 1, got {self.seed}")
         if not 0.0 < self.learning_rate < math.inf:
             raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.learner not in ("rf", "gbm"):

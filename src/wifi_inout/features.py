@@ -250,6 +250,8 @@ def read_features_csv(path) -> Tuple[FeatureTable, List[int], List[Optional[str]
         if not header or header[-2:] != ["weight", "label"]:
             raise FormatError("feature CSV must end with weight,label columns")
         names = header[:-2]
+        if not names:
+            raise FormatError("feature CSV has no feature column")
         rows, weights, labels = [], [], []
         for rec in reader:
             if len(rec) != len(header):

@@ -233,6 +233,7 @@ def train_arrays(
         model = Model(kind, seed, list(feature_names), hp, f0=math.log(w1 / w0))
         F = np.full(n, model.f0)
         lr = hp["learning_rate"]
+        order = np.argsort(X.T, axis=1, kind="stable")  # X is fixed across rounds
         for _ in range(hp["n_rounds"]):
             prob = _sigmoid(F)
             grad = y - prob
@@ -241,6 +242,7 @@ def train_arrays(
                 criterion="sse",
                 max_depth=hp["depth"],
                 min_leaf=hp["min_leaf"],
+                order=order,
             )
             # Newton leaf values for logistic loss
             leaves = tree.apply(X)

@@ -5,6 +5,15 @@ classification, squared error for the boosting stage's gradient fits.
 Integer instance weights enter every statistic as multiplicities, so a
 point of weight k and k unit-weight copies produce bit-identical split
 gains (weighted sums of integers are exact in float64).
+
+Split search scans each column in sorted order, and a column is sorted at
+most once per path: a node's rows sorted by feature f are its parent's
+sorted rows for f filtered by the split's side, as in SLIQ's presorted
+attribute lists (Mehta, Agrawal & Rissanen, EDBT 1996). The filter keeps
+the stable order of the root, whose ties fall by row index, and a node's
+own rows stay ascending, so the order is the stable argsort of the
+node's column that a fresh sort would give, and trees are bit-identical
+to sorting at every node.
 """
 
 from __future__ import annotations
@@ -182,37 +191,35 @@ def split_gain(
     return float(parent - lmass - rmass)
 
 
-def _best_split_on_feature(xf, y, w, min_leaf, criterion):
-    """(gain, threshold) of the best split on one column, or None."""
-    order = np.argsort(xf, kind="stable")
-    xs = xf[order]
-    if xs[0] == xs[-1]:
-        return None
-    ys = y[order]
-    ws = w[order]
-    cw = np.cumsum(ws)
-    cwy = np.cumsum(ws * ys)
-    cwy2 = np.cumsum(ws * ys * ys)
-    W, WY, WY2 = cw[-1], cwy[-1], cwy2[-1]
-    parent = _impurity_mass(W, WY, WY2, criterion)
-
-    n = len(xs)
-    pos = np.arange(n - 1)
-    valid = xs[:-1] != xs[1:]
+def _best_split(xs, ys, ws, min_leaf, criterion):
+    """(row, position, gain) of the best split over the rows of `xs`, each
+    one column's values in ascending order beside their `ys` and `ws`, or
+    None. The split is between positions i and i + 1 of its row; the first
+    max wins ties: the earliest row, then the lowest threshold."""
+    m = xs.shape[1]
+    valid = np.zeros(xs.shape, dtype=bool)  # at the split after each position
+    np.not_equal(xs[:, :-1], xs[:, 1:], out=valid[:, :-1])
     if min_leaf > 1:
-        valid &= (pos + 1 >= min_leaf) & (n - pos - 1 >= min_leaf)
-    pos = pos[valid]
-    if len(pos) == 0:
+        left_size = np.arange(1, m + 1)
+        valid &= (left_size >= min_leaf) & (m - left_size >= min_leaf)
+    at = np.flatnonzero(valid)  # row-major, so argmax below takes the first max
+    if len(at) == 0:
         return None
-    wl, wyl, wy2l = cw[pos], cwy[pos], cwy2[pos]
+    k = at // m
+    cw = np.cumsum(ws, axis=1)
+    cwy = np.cumsum(ws * ys, axis=1)
+    cwy2 = np.cumsum(ws * ys * ys, axis=1)
+    W, WY, WY2 = cw[:, -1], cwy[:, -1], cwy2[:, -1]
+    parent = _impurity_mass(W, WY, WY2, criterion)
+    wl, wyl, wy2l = cw.ravel()[at], cwy.ravel()[at], cwy2.ravel()[at]
+    W, WY, WY2 = W[k], WY[k], WY2[k]
     lmass = _impurity_mass(wl, wyl, wy2l, criterion)
     rmass = _impurity_mass(W - wl, WY - wyl, WY2 - wy2l, criterion)
-    gains = parent - lmass - rmass
-    best = int(np.argmax(gains))  # first max: lowest threshold wins ties
+    gains = parent[k] - lmass - rmass
+    best = int(np.argmax(gains))
     if gains[best] <= _MIN_GAIN:
         return None
-    i = pos[best]
-    return float(gains[best]), (xs[i] + xs[i + 1]) / 2.0
+    return int(k[best]), int(at[best] % m), float(gains[best])
 
 
 def grow_tree(
@@ -225,11 +232,17 @@ def grow_tree(
     min_leaf: int = 1,
     max_features: Optional[int] = None,
     rng: Optional[np.random.Generator] = None,
+    order: Optional[np.ndarray] = None,
 ) -> Tree:
     """Grow an unpruned tree; node values are weighted means of y.
 
     max_features draws a fresh random feature subset at every split
-    (random-forest style); None considers every feature.
+    (random-forest style); None considers every feature. `order`, the
+    (p, n) stable per-column row order of X
+    (`np.argsort(X, axis=0, kind="stable").T`), gives the root its rows
+    sorted by every feature; without it a node sorts a feature the first
+    time it is drawn on its path. A caller that grows many trees on one
+    X sorts it once.
     """
     n, p = X.shape
     feature: List[int] = []
@@ -248,10 +261,19 @@ def grow_tree(
         gain.append(0.0)
         return len(feature) - 1
 
+    flat = X.ravel()  # X[r, f] is flat[r * p + f]
+    goes_left = np.zeros(n, dtype=bool)  # of the rows of the node being split
+    if order is None:
+        order, slot = np.empty((0, n), dtype=np.int64), np.full(p, -1)
+    else:
+        slot = np.arange(p)
     root = new_node()
-    stack = [(root, np.arange(n), 0)]
+    # each node holds its rows ascending, and a block whose row slot[f] is
+    # its rows sorted by feature f, for each f sorted on its path (slot -1:
+    # none); a child's block is its parent's, to be filtered by its `side`
+    stack = [(root, np.arange(n), order, None, slot, 0)]
     while stack:
-        node, rows, depth = stack.pop()
+        node, rows, block, side, slot, depth = stack.pop()
         yn, wn = y[rows], w[rows]
         W = wn.sum()
         value[node] = float((wn * yn).sum() / W)
@@ -261,26 +283,39 @@ def grow_tree(
             or (max_depth is not None and depth >= max_depth)
         ):
             continue
+        if side is not None:
+            block = block[side].reshape(len(block), len(rows))
         if max_features is not None and max_features < p:
             feats = np.sort(rng.choice(p, size=max_features, replace=False))
         else:
             feats = np.arange(p)
-        best = None
-        for f in feats:
-            cand = _best_split_on_feature(X[rows, f], yn, wn, min_leaf, criterion)
-            if cand is not None and (best is None or cand[0] > best[0]):
-                best = (cand[0], int(f), cand[1])
+        new = feats[slot[feats] < 0]
+        if new.size:
+            fresh = np.argsort(X[rows[:, None], new], axis=0, kind="stable")
+            block = np.concatenate([block, rows[fresh.T]])
+            slot = slot.copy()
+            slot[new] = np.arange(len(block) - new.size, len(block))
+        srt = block[slot[feats]]
+        xs = flat.take(srt * p + feats[:, None])
+        varies = xs[:, 0] != xs[:, -1]  # a constant column has no split
+        if not varies.all():
+            feats, srt, xs = feats[varies], srt[varies], xs[varies]
+        best = _best_split(xs, y.take(srt), w.take(srt), min_leaf, criterion)
         if best is None:
             continue
-        g, f, thr = best
+        k, i, g = best
+        f = int(feats[k])
+        thr = (xs[k, i] + xs[k, i + 1]) / 2.0
         go_left = X[rows, f] <= thr
         feature[node] = f
         threshold[node] = thr
         gain[node] = g
         lid, rid = new_node(), new_node()
         left[node], right[node] = lid, rid
-        stack.append((lid, rows[go_left], depth + 1))
-        stack.append((rid, rows[~go_left], depth + 1))
+        goes_left[rows] = go_left
+        side = goes_left[block]  # every row of the block holds the node's rows
+        stack.append((lid, rows[go_left], block, side, slot, depth + 1))
+        stack.append((rid, rows[~go_left], block, ~side, slot, depth + 1))
 
     return Tree(
         feature=np.asarray(feature, dtype=np.int64),

@@ -1,7 +1,16 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from wifi_inout.model import Fingerprint, ScanRecord, ingest, rssi_to_power
+
+# CI draws the same examples on every run and prints a failing example's
+# blob, so a failure there can be replayed with @reproduce_failure
+settings.register_profile("ci", derandomize=True, print_blob=True)
+if os.environ.get("HYPOTHESIS_PROFILE"):
+    settings.load_profile(os.environ["HYPOTHESIS_PROFILE"])
 
 
 def fp(seq, dbm_readings):

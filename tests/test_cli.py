@@ -354,6 +354,17 @@ def test_negative_seed_flag_exits_one(tmp_path, capsys):
     assert "error: seed must be >= 0" in capsys.readouterr().err
 
 
+def test_seed_beyond_int64_exits_one(tmp_path, worlds, capsys):
+    # a model file holds its seed as an int64, so predict could not read it
+    a, b = worlds
+    out = tmp_path / "big"
+    assert main(["pipeline", "--train", str(a), "--test", str(b),
+                 "--seed", str(2**63), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: seed must be <= 2**63 - 1" in err and "Traceback" not in err
+    assert not (tmp_path / "big.model.json").exists()
+
+
 def test_predictions_round_trip(tmp_path):
     assignment = ClusterAssignment(
         cluster_of=np.array([0, 0, 1, 2, 1], dtype=np.int64),
@@ -592,4 +603,17 @@ def test_train_rejects_bad_feature_csv_values(tmp_path, worlds, capsys, column, 
     model = tmp_path / "a.model.json"
     assert main(["train", "--features", str(features), "--out", str(model)]) == 1
     assert "error:" in capsys.readouterr().err
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("learner", ["rf", "gbm"])
+def test_train_rejects_feature_csv_without_feature_columns(tmp_path, capsys, learner):
+    # a model with no feature names could never take a predict table
+    features = tmp_path / "empty.features.csv"
+    features.write_text("weight,label\n3,indoor\n2,outdoor\n1,indoor\n", encoding="utf-8")
+    model = tmp_path / "model.json"
+    assert main(["train", "--features", str(features), "--out", str(model),
+                 "--learner", learner]) == 1
+    err = capsys.readouterr().err
+    assert "error: feature CSV has no feature column" in err and "Traceback" not in err
     assert not model.exists()

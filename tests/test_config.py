@@ -73,6 +73,7 @@ def test_unknown_key_rejected():
 
 @pytest.mark.parametrize("key, bad, ok", [
     ("seed", "-1", "0"),
+    ("seed", str(2**63), str(2**63 - 1)),
     ("min_pts", "0", "1"),
     ("n_trees", "0", "1"),
     ("gbm_rounds", "0", "1"),

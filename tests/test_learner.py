@@ -28,7 +28,7 @@ from wifi_inout.trees import Tree, grow_tree, split_gain
 from wifi_inout import learner
 from wifi_inout.evaluation import auc
 
-from test_trees import reference_apply
+from test_trees import reference_apply, reference_grow_tree
 
 
 def _assignment(members_per_cluster):
@@ -134,6 +134,24 @@ def test_determinism_and_seed_sensitivity(rng, kind):
     m2 = train_arrays(X, y, w, ["f0", "f1"], kind=kind, seed=11)
     assert m1.to_json() == m2.to_json()
     assert np.array_equal(m1.score(X), m2.score(X))
+
+
+@pytest.mark.parametrize("kind", [RANDOM_FOREST, GBM])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_models_equal_per_node_sort_reference(monkeypatch, kind, seed):
+    # GBM hands every round the presorted order of its fixed X; the forest
+    # sorts within each tree; both must give the per-node-sort models
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 6, size=(150, 4)) / 2.0  # a coarse grid, so columns tie
+    X[:, 1] += rng.normal(size=150)
+    X[:, 3] = 1.0  # and one has no split at all
+    y = (X[:, 0] + rng.normal(size=150) > 1.2).astype(float)
+    w = rng.integers(1, 5, size=150).astype(float)
+    names = ["a", "b", "c", "d"]
+    got = train_arrays(X, y, w, names, kind=kind, seed=seed)
+    monkeypatch.setattr(learner, "grow_tree",
+                        lambda *a, order=None, **kw: reference_grow_tree(*a, **kw))
+    assert got.to_json() == train_arrays(X, y, w, names, kind=kind, seed=seed).to_json()
 
 
 def test_rf_seed_changes_model(rng):
