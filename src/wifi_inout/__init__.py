@@ -46,6 +46,7 @@ from .model import (
     OUTDOOR,
     Fingerprint,
     FingerprintMatrix,
+    ScanLog,
     ScanRecord,
     canonical_bssid,
     ingest,

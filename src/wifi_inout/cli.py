@@ -95,7 +95,7 @@ def cmd_synth(args) -> int:
 
 def cmd_ingest(args) -> int:
     m = _load_matrix(args.scans)
-    empty = sum(1 for fp in m.fingerprints if fp.is_empty())
+    empty = int(np.count_nonzero(np.diff(m.indptr) == 0))
     labeled = sum(1 for lab in m.labels if lab in (INDOOR, OUTDOOR))
     log(f"empty={empty} labeled={labeled}")
     if args.out:

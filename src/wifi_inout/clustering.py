@@ -177,7 +177,7 @@ def prefix_partitions(
         if not done <= n <= m.T:
             raise IndexRangeError(f"prefix end {n} not in [{done}, {m.T}]")
         done = n
-    head, tail = eps_edges(index, done, params.eps)
+    head, tail = eps_edges(index, m, done, params.eps)
     for n in ends:
         indptr = np.searchsorted(head, np.arange(n + 1))  # row t: the edges headed t
         edges = csr_matrix((np.ones(indptr[-1], dtype=bool), tail[:indptr[-1]], indptr),

@@ -15,9 +15,16 @@ class FormatError(WifiInoutError):
     """Malformed BSSID, scan record, or data file."""
 
 
+def first_non_int64(values):
+    """Index of the first value that is not an int (bools are not) within
+    int64, or None."""
+    return next((i for i, v in enumerate(values)
+                 if type(v) is not int or not -2**63 <= v < 2**63), None)
+
+
 def require_int64(values, what: str) -> None:
     """Raise FormatError unless every value is an int (not a bool) within int64."""
-    if not all(type(v) is int and -2**63 <= v < 2**63 for v in values):
+    if first_non_int64(values) is not None:
         raise FormatError(f"{what} must be integers within int64")
 
 

@@ -100,10 +100,9 @@ def extract_features(
     rows equal a per-node BFS's bit for bit.
     """
     n = g.n_nodes
-    fps = m.fingerprints
     V = np.column_stack([np.ones(n), np.bincount(g.cluster_of, minlength=n),
-                         np.bincount(g.cluster_of, [len(fp.powers) for fp in fps], n),
-                         np.bincount(g.cluster_of, [sum(fp.dbm_values()) for fp in fps], n)])
+                         np.bincount(g.cluster_of, np.diff(m.indptr), n),
+                         np.bincount(g.cluster_of[m.rows], m.dbm, n)])
     fam, hop = zip(*ranges.columns())
     rows = np.empty((n, len(hop)))
     for lo in range(0, n, _SOURCE_BLOCK):

@@ -1,11 +1,12 @@
 """Inverted AP->fingerprint index for eps-radius region queries.
 
 Only fingerprints sharing at least one AP with the query can be closer
-than the maximal distance 2, so the index keeps a postings list per AP,
-each entry paired with the AP's rank in that fingerprint. A region query
-unions the postings of the query's APs (whose ranks come from
-`Fingerprint.ranks()`), then computes the exact rank distance for every
-candidate in one vectorized pass.
+than the maximal distance 2, so the index keeps a postings list per AP
+(keyed by its id in the matrix's name table), each entry paired with the
+AP's rank in that fingerprint: the CSC transpose of the matrix's rank
+CSR. A region query unions the postings of the APs in the query's row,
+then computes the exact rank distance for every candidate in one
+vectorized pass.
 
 Empty fingerprints never share an AP, yet an empty pair at adjacent
 stream positions has distance 0; `empty_mask` marks the empty positions
@@ -13,7 +14,7 @@ and makes those pairs reachable, since AP postings alone can never
 surface them.
 
 `eps_edges` finds every eps-pair of a stream's leading fingerprints at
-once, from sparse products of the rank matrix the postings hold; it and
+once, from sparse products of the matrix's rank CSR; it and
 the region query compute distances with one formula (`_rank_distances`).
 
 A query given a `live` mask skips every fingerprint the mask clears and
@@ -26,10 +27,10 @@ other index is left as `build_index` made it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 import numpy as np
-from scipy.sparse import csc_matrix, csr_matrix
+from scipy.sparse import csr_matrix
 
 from .errors import ConfigError, IndexRangeError
 from .model import FingerprintMatrix
@@ -43,8 +44,8 @@ class FingerprintIndex:
     """Index artifacts over one fingerprint matrix; only a query with a
     `live` mask rewrites `postings` and `posting_ranks`."""
 
-    postings: Dict[str, np.ndarray]       # AP -> ascending fingerprint indices
-    posting_ranks: Dict[str, np.ndarray]  # parallel: rank of the AP in that fingerprint
+    postings: Dict[int, np.ndarray]       # AP id -> ascending fingerprint indices
+    posting_ranks: Dict[int, np.ndarray]  # parallel: rank of the AP in that fingerprint
     k: np.ndarray                         # per fingerprint: AP count
     rank_sumsq: np.ndarray                # per fingerprint: sum of squared ranks
     empty_mask: np.ndarray                # bool per fingerprint
@@ -55,32 +56,22 @@ class FingerprintIndex:
 
 
 def build_index(m: FingerprintMatrix) -> FingerprintIndex:
-    T = m.T
-    post_idx: Dict[str, List[int]] = {}
-    post_rank: Dict[str, List[float]] = {}
-    k = np.zeros(T, dtype=np.int64)
-    rank_sumsq = np.zeros(T, dtype=np.float64)
-    empty_mask = np.zeros(T, dtype=bool)
-
-    for i, fp in enumerate(m.fingerprints):
-        ranks = fp.ranks()
-        k[i] = len(ranks)
-        if not ranks:
-            empty_mask[i] = True
-            continue
-        rank_sumsq[i] = sum(r * r for r in ranks.values())
-        for ap, r in ranks.items():
-            post_idx.setdefault(ap, []).append(i)
-            post_rank.setdefault(ap, []).append(r)
-
-    postings = {a: np.asarray(v, dtype=np.int64) for a, v in post_idx.items()}
-    posting_ranks = {a: np.asarray(v, dtype=np.float64) for a, v in post_rank.items()}
+    """The CSC transpose of m's rank CSR: each AP's readings, in row order."""
+    k = np.diff(m.indptr)
+    by_ap = np.argsort(m.ap_ids, kind="stable")  # stable: each AP's rows stay ascending
+    bounds = np.searchsorted(m.ap_ids[by_ap], np.arange(len(m.aps) + 1)).tolist()
+    rows, ranks = m.rows[by_ap], m.ranks[by_ap]
+    postings: Dict[int, np.ndarray] = {}
+    posting_ranks: Dict[int, np.ndarray] = {}
+    for ap, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        if hi > lo:  # a prefix's name table may hold APs it never read
+            postings[ap], posting_ranks[ap] = rows[lo:hi], ranks[lo:hi]
     return FingerprintIndex(
         postings=postings,
         posting_ranks=posting_ranks,
         k=k,
-        rank_sumsq=rank_sumsq,
-        empty_mask=empty_mask,
+        rank_sumsq=np.bincount(m.rows, m.ranks * m.ranks, minlength=m.T),
+        empty_mask=k == 0,
     )
 
 
@@ -91,10 +82,10 @@ def _candidate_distances(
     exact distances. Returns (candidate indices, distances) as arrays.
     With `live`, a posting list holding non-live entries is replaced in
     `index` by its live part."""
-    ranks_q = m.fingerprints[q].ranks()
+    lo, hi = m.indptr[q], m.indptr[q + 1]
     chunks_idx = []
     chunks_rc = []
-    for ap in ranks_q:
+    for ap in m.ap_ids[lo:hi].tolist():
         arr = index.postings[ap]
         rc = index.posting_ranks[ap]
         if live is not None:
@@ -105,9 +96,7 @@ def _candidate_distances(
         chunks_idx.append(arr)
         chunks_rc.append(rc)
     cand = np.concatenate(chunks_idx)
-    rq = np.repeat(
-        np.fromiter(ranks_q.values(), float, len(ranks_q)), [len(a) for a in chunks_idx]
-    )
+    rq = np.repeat(m.ranks[lo:hi], [len(a) for a in chunks_idx])
     rc = np.concatenate(chunks_rc)
 
     uniq, inv = np.unique(cand, return_inverse=True)
@@ -142,28 +131,23 @@ def _rank_distances(kq, kc, o, s_rq, s_rc, s_cross, sumsq_q, sumsq_c):
     return 6.0 * ssd / np.where(n > 1.0, n * (n * n - 1.0), 1.0)
 
 
-def eps_edges(index: FingerprintIndex, n: int, eps: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Every pair j < t < n of indexed fingerprints within eps, as arrays
-    (head t, tail j) in ascending head order.
+def eps_edges(
+    index: FingerprintIndex, m: FingerprintMatrix, n: int, eps: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Every pair j < t < n of m's fingerprints within eps, as arrays
+    (head t, tail j) in ascending head order; `index` indexes m.
 
     One blocked sparse self-join over the first n fingerprints (an
     all-pairs similarity search; Bayardo, Ma & Srikant, WWW 2007). With R
-    their n x N rank matrix, which the postings hold in CSC form, B its
-    0/1 pattern and Z = B + iR, a block of heads [lo, hi) gets
-    B[lo:hi] @ Z[:hi].T = o + i s_rc and R[lo:hi] @ Z[:hi].T = s_rq + i
-    s_cross for every pair sharing an AP. No entry is 0, so the two
-    products hold the same pairs in the same order. The pairs t > j go
-    through `_rank_distances`, once each. Adjacent empty fingerprints are
-    at distance 0 and share no AP, so they are added apart.
+    their n x N rank matrix (m's rank CSR), B its 0/1 pattern and Z = B +
+    iR, a block of heads [lo, hi) gets B[lo:hi] @ Z[:hi].T = o + i s_rc
+    and R[lo:hi] @ Z[:hi].T = s_rq + i s_cross for every pair sharing an
+    AP. No entry is 0, so the two products hold the same pairs in the
+    same order. The pairs t > j go through `_rank_distances`, once each.
+    Adjacent empty fingerprints are at distance 0 and share no AP, so
+    they are added apart.
     """
-    aps = list(index.postings)
-    indptr = np.cumsum([0] + [len(index.postings[a]) for a in aps])
-    ranks = csc_matrix(
-        (np.concatenate([index.posting_ranks[a] for a in aps] or [np.empty(0)]),
-         np.concatenate([index.postings[a] for a in aps] or [np.empty(0, np.int64)]),
-         indptr),
-        shape=(index.T, len(aps)),
-    ).tocsr()[:n]
+    ranks = csr_matrix((m.ranks, m.ap_ids, m.indptr), shape=(m.T, len(m.aps)))[:n]
     pattern = csr_matrix((np.ones_like(ranks.data), ranks.indices, ranks.indptr), ranks.shape)
     z = csr_matrix((1.0 + 1j * ranks.data, ranks.indices, ranks.indptr), ranks.shape)
     k = index.k.astype(np.float64)
@@ -196,7 +180,7 @@ def region_query_arr(
     index: FingerprintIndex,
     m: FingerprintMatrix,
     live: Optional[np.ndarray] = None,
-    memo: Optional[Dict[frozenset, np.ndarray]] = None,
+    memo: Optional[Dict[bytes, np.ndarray]] = None,
 ) -> np.ndarray:
     """Indices of all fingerprints within eps of fingerprint q (array form).
 
@@ -209,11 +193,12 @@ def region_query_arr(
     the caller's own.
 
     With a dict `memo`, a non-empty query whose rank map an earlier query
-    already had takes that answer, filtered by the current `live`, and
-    computes no distances. Equal rank maps are at distance 0 from each
-    other and at the same distance from every other fingerprint, so they
-    have the same eps-neighbourhood; and since `live` only shrinks, the
-    earlier answer's live part is the live part of that neighbourhood.
+    already had (an equal `m.rank_keys` entry) takes that answer, filtered
+    by the current `live`, and computes no distances. Equal rank maps are
+    at distance 0 from each other and at the same distance from every
+    other fingerprint, so they have the same eps-neighbourhood; and since
+    `live` only shrinks, the earlier answer's live part is the live part
+    of that neighbourhood.
     One memo serves queries with one eps on one index and one `live`.
     """
     T = index.T
@@ -228,7 +213,7 @@ def region_query_arr(
             keep = keep & live[lo:hi]
         return np.arange(lo, hi)[keep]
     if memo is not None:
-        key = frozenset(m.fingerprints[q].ranks().items())
+        key = m.rank_keys[q]
         hit = memo.get(key)
         if hit is not None:
             return hit if live is None else hit[live[hit]]

@@ -305,7 +305,10 @@ def grow_tree(
             continue
         k, i, g = best
         f = int(feats[k])
-        thr = (xs[k, i] + xs[k, i + 1]) / 2.0
+        lo, hi = xs[k, i], xs[k, i + 1]
+        thr = (lo + hi) / 2.0
+        if not lo <= thr < hi:  # adjacent floats round up to hi; huge ones overflow
+            thr = lo
         go_left = X[rows, f] <= thr
         feature[node] = f
         threshold[node] = thr

@@ -258,6 +258,21 @@ def test_xval_non_string_location_exits_one(tmp_path, capsys, location):
     assert "error: bad scan record field types" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("field, value", [("timestamp_ms", 2**63), ("seq", -2**63 - 1),
+                                          ("rssi_dbm", 2**63)])
+def test_ingest_integer_beyond_int64_exits_one(tmp_path, capsys, field, value):
+    scans = _tiny_scans(tmp_path)
+    lines = scans.read_text(encoding="utf-8").splitlines()
+    records = [json.loads(line) for line in lines]
+    k = next(k for k, rec in enumerate(records) if rec["scan"]) if field == "rssi_dbm" else -1
+    (records[k]["scan"][0] if field == "rssi_dbm" else records[k])[field] = value
+    scans.write_text("".join(json.dumps(rec) + "\n" for rec in records), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["ingest", "--scans", str(scans)]) == 1
+    err = capsys.readouterr().err
+    assert "error: record" in err and "Traceback" not in err
+
+
 def test_unknown_flag_exits_with_usage(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["cluster", "--scans", "x", "--out", "y", "--frobnicate"])

@@ -190,10 +190,7 @@ def _trip_tagged(m):
         if i > 0 and lab == INDOOR and m.labels[i - 1] == OUTDOOR:
             trip += 1
         locations.append(f"trip_{trip}")
-    return FingerprintMatrix(
-        device_id=m.device_id, fingerprints=m.fingerprints, labels=m.labels,
-        locations=locations, timestamps_ms=m.timestamps_ms,
-    )
+    return dataclasses.replace(m, locations=locations)
 
 
 def test_xval_runs_one_fold_per_location():
@@ -257,16 +254,10 @@ def test_xval_heldout_labels_cannot_poison_training():
         return train(stages.features, labeled, kind=cfg.learner_kind(),
                      seed=cfg.seed, hyperparameters=cfg.hyperparameters())
 
-    flipped = FingerprintMatrix(
-        device_id=m.device_id,
-        fingerprints=m.fingerprints,
-        labels=[
-            (OUTDOOR if lab == INDOOR else INDOOR) if m.locations[i] == loc else lab
-            for i, lab in enumerate(m.labels)
-        ],
-        locations=m.locations,
-        timestamps_ms=m.timestamps_ms,
-    )
+    flipped = dataclasses.replace(m, labels=[
+        (OUTDOOR if lab == INDOOR else INDOOR) if m.locations[i] == loc else lab
+        for i, lab in enumerate(m.labels)
+    ])
     assert fold_model(m).to_json() == fold_model(flipped).to_json()
 
     base = location_cross_validation(m, cfg).per_location[loc]
@@ -317,7 +308,7 @@ def test_warmup_truncates_at_last_nonempty_minute():
 def test_warmup_empty_scenario():
     cfg = PipelineConfig()
     model = _trained_model(cfg, seed=4)
-    empty = FingerprintMatrix("d", [], [], [], [])
+    empty = FingerprintMatrix.from_fingerprints("d", [], [], [], [])
     with pytest.raises(EmptyPrefixError):
         warmup_eval(model, empty, 5, cfg)
 

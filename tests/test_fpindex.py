@@ -23,16 +23,16 @@ C = "0c:00:00:00:00:03"
 def test_postings_cover_shared_ap():
     m = make_matrix([{A: -40}, {A: -50, B: -60}, {A: -45}])
     index = build_index(m)
-    assert list(index.postings[A]) == [0, 1, 2]
-    assert list(index.postings[B]) == [1]
+    assert list(index.postings[m.aps.index(A)]) == [0, 1, 2]
+    assert list(index.postings[m.aps.index(B)]) == [1]
 
 
 def test_posting_ranks_entry():
     m = make_matrix([{A: -40, B: -60}])
     index = build_index(m)
     assert m.fingerprints[0].ranks() == {A: 1.0, B: 2.0}
-    assert list(index.posting_ranks[A]) == [1.0]
-    assert list(index.posting_ranks[B]) == [2.0]
+    assert list(index.posting_ranks[m.aps.index(A)]) == [1.0]
+    assert list(index.posting_ranks[m.aps.index(B)]) == [2.0]
     assert index.k[0] == 2
 
 
@@ -85,7 +85,7 @@ def test_index_invariants(rng):
     for ap, lst in index.postings.items():
         assert all(a < b for a, b in zip(lst, lst[1:]))  # strictly ascending
         for i, r in zip(lst, index.posting_ranks[ap]):
-            assert m.fingerprints[i].ranks()[ap] == r
+            assert m.fingerprints[i].ranks()[m.aps[ap]] == r
     for i, fp in enumerate(m.fingerprints):
         ranks = fp.ranks()
         assert set(ranks) == set(fp.powers)
@@ -114,7 +114,7 @@ def test_pruning_soundness(rng):
         else:
             candidates = set()
             for ap in fq.powers:
-                candidates.update(int(i) for i in index.postings[ap])
+                candidates.update(int(i) for i in index.postings[m.aps.index(ap)])
         for i in range(m.T):
             if i not in candidates:
                 assert distance(fq, m.fingerprints[i], q, i).value == 2.0
@@ -184,7 +184,8 @@ def test_memo_query_equals_filtered_query(pool, draws, eps, steps, rnd):
         full = region_query_arr(q, eps, index, m)
         assert np.array_equal(region_query_arr(q, eps, private, m, live, memo), full[live[full]])
     queried = {frozenset(m.fingerprints[raw_q % m.T].ranks().items()) for raw_q, _ in steps}
-    assert memo.keys() == queried - {frozenset()}
+    assert memo.keys() == {m.rank_keys[raw_q % m.T] for raw_q, _ in steps} - {b""}
+    assert len(memo) == len(queried - {frozenset()})
 
 
 def reference_candidate_distances(q, index, m, live=None):
@@ -194,7 +195,7 @@ def reference_candidate_distances(q, index, m, live=None):
     ranks_q = m.fingerprints[q].ranks()
     chunks_idx = []
     chunks_rc = []
-    for ap in ranks_q:
+    for ap in map(m.aps.index, ranks_q):
         arr = index.postings[ap]
         rc = index.posting_ranks[ap]
         if live is not None:
@@ -293,7 +294,7 @@ def test_eps_edges_equal_brute_force_pairs(scans, eps, block, data):
     n = data.draw(st.integers(0, m.T))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fpindex, "_JOIN_BLOCK", block)
-        head, tail = eps_edges(build_index(m), n, eps)
+        head, tail = eps_edges(build_index(m), m, n, eps)
     assert np.all(np.diff(head) >= 0)
     expected = {(t, j) for t in range(n) for j in region_scan(m, t, eps) if j < t}
     assert len(head) == len(expected)

@@ -212,6 +212,19 @@ def test_stump_routes_ties_left():
     assert list(tree.apply(X)) == [1, 1, 2, 2]  # NaN fails <=, so it goes right
 
 
+_A = np.nextafter(1.0, 2.0)
+
+
+@pytest.mark.parametrize("lo, hi", [(_A, np.nextafter(_A, 2.0)),  # midpoint rounds up to hi
+                                    (1.6e308, 1.7e308), (-1.7e308, -1.6e308)])  # sum overflows
+def test_split_between_close_or_huge_values_leaves_both_children_nonempty(lo, hi):
+    X = np.array([[lo], [hi]])
+    with np.errstate(over="ignore"):
+        tree = grow_tree(X, np.array([0.0, 1.0]), np.ones(2))
+    assert tree.n_nodes == 3 and list(tree.apply(X)) == [1, 2]
+    assert lo <= tree.threshold[0] < hi
+
+
 @pytest.mark.parametrize("name", ["threshold", "value", "gain"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_check_rejects_non_finite_values(name, bad):
