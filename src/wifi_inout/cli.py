@@ -20,7 +20,7 @@ import numpy as np
 from . import evaluation, pipeline
 from .clustering import ClusterAssignment, read_assignment, write_assignment
 from .config import PipelineConfig, config_from_file, config_with_overrides
-from .errors import FormatError, WifiInoutError
+from .errors import FormatError, WifiInoutError, first_non_int64
 from .features import (
     neighborhood_feature_grid,
     read_features_csv,
@@ -95,7 +95,7 @@ def cmd_synth(args) -> int:
 
 def cmd_ingest(args) -> int:
     m = _load_matrix(args.scans)
-    empty = int(np.count_nonzero(np.diff(m.indptr) == 0))
+    empty = int(np.count_nonzero(m.k == 0))
     labeled = sum(1 for lab in m.labels if lab in (INDOOR, OUTDOOR))
     log(f"empty={empty} labeled={labeled}")
     if args.out:
@@ -201,7 +201,8 @@ def _write_predictions(path, pred: Prediction, assignment: ClusterAssignment) ->
 
 def _read_predictions(path, threshold: float, T: int) -> Prediction:
     """Inverse of _write_predictions for a scan log of T fingerprints;
-    seqs must be exactly 0..T-1."""
+    seqs must be exactly 0..T-1, and node ids, as in any partition of T
+    fingerprints, integers in [0, T)."""
     rows = []
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
@@ -214,7 +215,7 @@ def _read_predictions(path, threshold: float, T: int) -> Prediction:
             except (json.JSONDecodeError, KeyError, TypeError) as e:
                 raise FormatError(f"{path}:{lineno}: bad prediction line: {e}") from e
             seq, node, score, label = row
-            if not (isinstance(seq, int) and isinstance(node, int) and node >= 0
+            if not (first_non_int64((seq, node)) is None and 0 <= node < T
                     and isinstance(score, (int, float)) and not isinstance(score, bool)
                     and 0.0 <= score <= 1.0  # false for NaN
                     and label in (INDOOR, OUTDOOR)):

@@ -19,7 +19,8 @@ At min_pts = 1 appending a fingerprint only adds eps-edges, so the
 eps-edges of a whole stream, found once, give the partition of every
 prefix (`prefix_partitions`; Ester et al., VLDB 1998). They come from one
 blocked sparse self-join over the stream's scans (`fpindex.eps_edges`)
-rather than one region query per scan.
+rather than one region query per scan, so they need no index; only
+`cluster`'s region queries read one.
 
 A partition is stored once, as its label vector `cluster_of`; cluster
 sizes and member lists are derived from it.
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -126,9 +127,7 @@ def cluster(
     if params.min_pts == 1:
         live = np.ones(m.T, dtype=bool)
         memo = {}
-        index = replace(
-            index, postings=dict(index.postings), posting_ranks=dict(index.posting_ranks)
-        )
+        index = FingerprintIndex(dict(index.postings), dict(index.posting_ranks))
     next_label = 0
     for start in range(m.T) if order is None else order:
         if labels[start] != -1:
@@ -157,17 +156,15 @@ def cluster(
 def prefix_partitions(
     m: FingerprintMatrix,
     params: ClusterParams,
-    index: FingerprintIndex,
     ends: Sequence[int],
 ) -> Iterator[Tuple[int, ClusterAssignment]]:
     """Yield (n, partition of m's first n fingerprints) for each n in the
     non-decreasing `ends`, equal to `cluster` on each prefix (min_pts = 1).
 
-    One self-join over the first ends[-1] fingerprints of `index`, an
-    index of the whole of m, finds every eps-edge (t, j < t) once
-    (`eps_edges`). The edges come in ascending t, so a prefix's edges are
-    a leading run of them, and its partition is their connected
-    components.
+    One self-join over the first ends[-1] fingerprints of m, with no
+    index, finds every eps-edge (t, j < t) once (`eps_edges`). The edges
+    come in ascending t, so a prefix's edges are a leading run of them,
+    and its partition is their connected components.
     """
     params.validate()
     if params.min_pts != 1:
@@ -177,7 +174,7 @@ def prefix_partitions(
         if not done <= n <= m.T:
             raise IndexRangeError(f"prefix end {n} not in [{done}, {m.T}]")
         done = n
-    head, tail = eps_edges(index, m, done, params.eps)
+    head, tail = eps_edges(m, done, params.eps)
     for n in ends:
         indptr = np.searchsorted(head, np.arange(n + 1))  # row t: the edges headed t
         edges = csr_matrix((np.ones(indptr[-1], dtype=bool), tail[:indptr[-1]], indptr),

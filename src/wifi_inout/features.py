@@ -101,7 +101,7 @@ def extract_features(
     """
     n = g.n_nodes
     V = np.column_stack([np.ones(n), np.bincount(g.cluster_of, minlength=n),
-                         np.bincount(g.cluster_of, np.diff(m.indptr), n),
+                         np.bincount(g.cluster_of, m.k, n),
                          np.bincount(g.cluster_of[m.rows], m.dbm, n)])
     fam, hop = zip(*ranges.columns())
     rows = np.empty((n, len(hop)))

@@ -8,14 +8,15 @@ CSR. A region query unions the postings of the APs in the query's row,
 then computes the exact rank distance for every candidate in one
 vectorized pass.
 
-Empty fingerprints never share an AP, yet an empty pair at adjacent
-stream positions has distance 0; `empty_mask` marks the empty positions
-and makes those pairs reachable, since AP postings alone can never
-surface them.
+The index holds only the postings; per-scan AP counts `k` and sums of
+squared ranks are views of the matrix. Empty fingerprints never share
+an AP, yet an empty pair at adjacent stream positions has distance 0;
+the region query finds those pairs from `k == 0`.
 
 `eps_edges` finds every eps-pair of a stream's leading fingerprints at
-once, from sparse products of the matrix's rank CSR; it and
-the region query compute distances with one formula (`_rank_distances`).
+once, from sparse products of the matrix's rank CSR, with no index; it
+and the region query compute distances with one formula
+(`_rank_distances`).
 
 A query given a `live` mask skips every fingerprint the mask clears and
 drops those entries from the postings it reads, so later queries on the
@@ -41,23 +42,15 @@ _JOIN_BLOCK = 128
 
 @dataclass
 class FingerprintIndex:
-    """Index artifacts over one fingerprint matrix; only a query with a
-    `live` mask rewrites `postings` and `posting_ranks`."""
+    """The postings of one fingerprint matrix; only a query with a `live`
+    mask rewrites them."""
 
     postings: Dict[int, np.ndarray]       # AP id -> ascending fingerprint indices
     posting_ranks: Dict[int, np.ndarray]  # parallel: rank of the AP in that fingerprint
-    k: np.ndarray                         # per fingerprint: AP count
-    rank_sumsq: np.ndarray                # per fingerprint: sum of squared ranks
-    empty_mask: np.ndarray                # bool per fingerprint
-
-    @property
-    def T(self) -> int:
-        return len(self.k)
 
 
 def build_index(m: FingerprintMatrix) -> FingerprintIndex:
     """The CSC transpose of m's rank CSR: each AP's readings, in row order."""
-    k = np.diff(m.indptr)
     by_ap = np.argsort(m.ap_ids, kind="stable")  # stable: each AP's rows stay ascending
     bounds = np.searchsorted(m.ap_ids[by_ap], np.arange(len(m.aps) + 1)).tolist()
     rows, ranks = m.rows[by_ap], m.ranks[by_ap]
@@ -66,13 +59,7 @@ def build_index(m: FingerprintMatrix) -> FingerprintIndex:
     for ap, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
         if hi > lo:  # a prefix's name table may hold APs it never read
             postings[ap], posting_ranks[ap] = rows[lo:hi], ranks[lo:hi]
-    return FingerprintIndex(
-        postings=postings,
-        posting_ranks=posting_ranks,
-        k=k,
-        rank_sumsq=np.bincount(m.rows, m.ranks * m.ranks, minlength=m.T),
-        empty_mask=k == 0,
-    )
+    return FingerprintIndex(postings=postings, posting_ranks=posting_ranks)
 
 
 def _candidate_distances(
@@ -105,8 +92,8 @@ def _candidate_distances(
     s_rq = np.bincount(inv, weights=rq, minlength=nb)
     s_rc = np.bincount(inv, weights=rc, minlength=nb)
     s_cross = np.bincount(inv, weights=rq * rc, minlength=nb)
-    dist = _rank_distances(float(index.k[q]), index.k[uniq].astype(np.float64), o,
-                           s_rq, s_rc, s_cross, index.rank_sumsq[q], index.rank_sumsq[uniq])
+    dist = _rank_distances(float(m.k[q]), m.k[uniq].astype(np.float64), o,
+                           s_rq, s_rc, s_cross, m.rank_sumsq[q], m.rank_sumsq[uniq])
     return uniq, dist
 
 
@@ -131,11 +118,9 @@ def _rank_distances(kq, kc, o, s_rq, s_rc, s_cross, sumsq_q, sumsq_c):
     return 6.0 * ssd / np.where(n > 1.0, n * (n * n - 1.0), 1.0)
 
 
-def eps_edges(
-    index: FingerprintIndex, m: FingerprintMatrix, n: int, eps: float
-) -> Tuple[np.ndarray, np.ndarray]:
+def eps_edges(m: FingerprintMatrix, n: int, eps: float) -> Tuple[np.ndarray, np.ndarray]:
     """Every pair j < t < n of m's fingerprints within eps, as arrays
-    (head t, tail j) in ascending head order; `index` indexes m.
+    (head t, tail j) in ascending head order.
 
     One blocked sparse self-join over the first n fingerprints (an
     all-pairs similarity search; Bayardo, Ma & Srikant, WWW 2007). With R
@@ -150,8 +135,8 @@ def eps_edges(
     ranks = csr_matrix((m.ranks, m.ap_ids, m.indptr), shape=(m.T, len(m.aps)))[:n]
     pattern = csr_matrix((np.ones_like(ranks.data), ranks.indices, ranks.indptr), ranks.shape)
     z = csr_matrix((1.0 + 1j * ranks.data, ranks.indices, ranks.indptr), ranks.shape)
-    k = index.k.astype(np.float64)
-    empty = index.empty_mask[:n]
+    k = m.k.astype(np.float64)
+    empty = m.k[:n] == 0
     empty_heads = np.flatnonzero(empty[1:] & empty[:-1]).astype(np.int32) + 1
     heads, tails = [np.empty(0, np.int32)], [np.empty(0, np.int32)]
     for lo in range(0, n, _JOIN_BLOCK):
@@ -164,7 +149,7 @@ def eps_edges(
         t, j = t[pair], shared.indices[pair]
         shared, query = shared.data[pair], query.data[pair]
         dist = _rank_distances(k[t], k[j], shared.real, query.real, shared.imag, query.imag,
-                               index.rank_sumsq[t], index.rank_sumsq[j])
+                               m.rank_sumsq[t], m.rank_sumsq[j])
         close = dist <= eps
         t, j = t[close], j[close]
         e = empty_heads[np.searchsorted(empty_heads, lo):np.searchsorted(empty_heads, hi)]
@@ -201,14 +186,14 @@ def region_query_arr(
     of that neighbourhood.
     One memo serves queries with one eps on one index and one `live`.
     """
-    T = index.T
+    T = m.T
     if not 0 <= q < T:
         raise IndexRangeError(f"query index {q} out of range [0, {T})")
     if not 0.0 <= eps < 2.0:
         raise ConfigError(f"eps must be in [0, 2), got {eps}")
-    if index.empty_mask[q]:
+    if m.k[q] == 0:
         lo, hi = max(0, q - 1), min(T, q + 2)
-        keep = index.empty_mask[lo:hi]
+        keep = m.k[lo:hi] == 0
         if live is not None:
             keep = keep & live[lo:hi]
         return np.arange(lo, hi)[keep]

@@ -79,7 +79,8 @@ def build_graph(
     u, v = assignment.cluster_of[:-1], assignment.cluster_of[1:]
     keep = u != v
     if max_gap_ms is not None:
-        keep &= np.diff(m.timestamps_ms) <= max_gap_ms
+        # Python-int gaps: an int64 difference wraps once stamps are 2**63 ms apart
+        keep &= (np.diff(np.array(m.timestamps_ms, dtype=object)) <= max_gap_ms).astype(bool)
     u, v = u[keep], v[keep]  # repeated pairs merge as CSR sums its COO input
     A = csr_array((np.ones(2 * len(u), bool), (np.r_[u, v], np.r_[v, u])), shape=(n, n))
     return TransitionGraph(A=A, cluster_of=assignment.cluster_of)

@@ -14,6 +14,8 @@ them with array operations; scan records (from `synth.generate` or a
 test) are flattened the same way first, so every input check lives in
 `ingest`. `Fingerprint` objects are a per-scan view of the matrix for the
 scalar distance and the tests; no pipeline stage builds them.
+Per-scan statistics (`k`, `rank_sumsq`, `rank_keys`) are cached views
+of the matrix and are stored nowhere else.
 """
 
 from __future__ import annotations
@@ -190,7 +192,17 @@ class FingerprintMatrix:
     @property
     def rows(self) -> np.ndarray:
         """Row of every reading."""
-        return np.repeat(np.arange(self.T), np.diff(self.indptr))
+        return np.repeat(np.arange(self.T), self.k)
+
+    @cached_property
+    def k(self) -> np.ndarray:
+        """Per scan, its AP count; 0 marks an empty scan."""
+        return np.diff(self.indptr)
+
+    @cached_property
+    def rank_sumsq(self) -> np.ndarray:
+        """Per scan, the sum of its squared ranks."""
+        return np.bincount(self.rows, self.ranks * self.ranks, minlength=self.T)
 
     @property
     def ap_universe(self) -> Set[str]:

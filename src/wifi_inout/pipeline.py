@@ -81,12 +81,13 @@ def prefix_stages(
     `ends`, equal to `build_stages(m.prefix(n), config)`.
 
     Clustered variants at min_pts = 1 take every prefix's partition from
-    one pass over m; singletons, and min_pts > 1, whose border points
-    depend on the expansion order, partition each prefix afresh.
+    one self-join over m, with no index; singletons, and min_pts > 1,
+    whose border points depend on the expansion order, partition each
+    prefix afresh.
     """
     if config.variant != "fingerprints" and config.min_pts == 1:
         params = ClusterParams(config.eps, config.min_pts)
-        parts = prefix_partitions(m, params, build_index(m), ends)
+        parts = prefix_partitions(m, params, ends)
     else:
         parts = ((n, partition(m.prefix(n), config)) for n in ends)
     for n, assignment in parts:

@@ -422,6 +422,9 @@ GOOD_ROWS = [{"seq": i, "node": i, "score": 0.75, "label": "indoor"} for i in ra
     "",                                                        # 3 rows for 4 scans
     '{"seq": 3, "node": 0, "score": 0.5, "label": "indoor"}\n'
     '{"seq": 4, "node": 0, "score": 0.5, "label": "indoor"}',  # 5 rows for 4 scans
+    '{"seq": 3, "node": false, "score": 0.5, "label": "indoor"}',
+    '{"seq": 3.0, "node": 0, "score": 0.5, "label": "indoor"}',
+    '{"seq": 3, "node": 4, "score": 0.5, "label": "indoor"}',  # node ids are < T
 ])
 def test_read_predictions_rejects(tmp_path, text):
     path = tmp_path / "bad.jsonl"
@@ -440,6 +443,25 @@ def test_malformed_predictions_exit_one(tmp_path, worlds, capsys, command):
     preds = tmp_path / "run.preds.jsonl"
     with open(preds, "a", encoding="utf-8") as f:
         f.write("not json\n")
+    capsys.readouterr()
+    assert main([command, "--preds", str(preds), "--scans", str(b)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field, value", [("node", 2**70), ("seq", True)],
+                         ids=["node-2**70", "seq-true"])
+@pytest.mark.parametrize("command", ["eval", "latency"])
+def test_non_int64_prediction_field_exits_one(tmp_path, worlds, capsys, command,
+                                              field, value):
+    a, b = worlds
+    prefix = tmp_path / "run"
+    assert main(["pipeline", "--train", str(a), "--test", str(b),
+                 "--out", str(prefix)]) == 0
+    preds = tmp_path / "run.preds.jsonl"
+    rows = [json.loads(line) for line in preds.read_text().splitlines()]
+    rows[1][field] = value
+    preds.write_text("".join(json.dumps(r) + "\n" for r in rows))
     capsys.readouterr()
     assert main([command, "--preds", str(preds), "--scans", str(b)]) == 1
     err = capsys.readouterr().err

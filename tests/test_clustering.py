@@ -244,7 +244,7 @@ def test_each_fingerprint_is_queried_at_most_once(rng, monkeypatch):
             assert len(queried) == len(set(queried))
         queried.clear()
         pairs.clear()
-        list(prefix_partitions(m, ClusterParams(eps=eps), index, [50, 120, 120, 150]))
+        list(prefix_partitions(m, ClusterParams(eps=eps), [50, 120, 120, 150]))
         # one self-join: every pair q < c < 150 sharing an AP, computed once
         assert queried == [] and sum(pairs) == sharing
 
@@ -256,7 +256,7 @@ def test_prefix_partitions_equal_cluster_on_every_prefix(seed, T, eps, data):
                            empty_prob=0.2)
     ends = sorted(data.draw(st.lists(st.integers(0, T), min_size=1, max_size=8)))
     params = ClusterParams(eps=eps)
-    got = list(prefix_partitions(m, params, build_index(m), ends))
+    got = list(prefix_partitions(m, params, ends))
     assert [n for n, _ in got] == ends
     for n, assignment in got:
         prefix = m.prefix(n)
@@ -270,7 +270,7 @@ def _partitions(scans, eps, ends):
     params = ClusterParams(eps=eps)
     index = build_index(m)
     return [cluster(m, params, index).cluster_of] + [
-        a.cluster_of for _, a in prefix_partitions(m, params, index, ends)]
+        a.cluster_of for _, a in prefix_partitions(m, params, ends)]
 
 
 def _same(got, expected):
@@ -322,7 +322,7 @@ def test_prefix_partitions_join_exactly_the_eps_pairs_of_each_prefix(rng, monkey
     monkeypatch.setattr(clustering, "connected_components", recording)
     ends = [0, 1, 30, 30, 80]
     eps = 0.2987
-    list(prefix_partitions(m, ClusterParams(eps=eps), build_index(m), ends))
+    list(prefix_partitions(m, ClusterParams(eps=eps), ends))
     assert len(graphs) == len(ends)
     for n, g in zip(ends, graphs):
         prefix = m.prefix(n)
@@ -333,13 +333,12 @@ def test_prefix_partitions_join_exactly_the_eps_pairs_of_each_prefix(rng, monkey
 
 def test_prefix_partitions_reject_bad_arguments(rng):
     m = random_scan_matrix(rng, 20)
-    index = build_index(m)
     with pytest.raises(ConfigError):
-        list(prefix_partitions(m, ClusterParams(min_pts=2), index, [10]))
+        list(prefix_partitions(m, ClusterParams(min_pts=2), [10]))
     with pytest.raises(IndexRangeError):
-        list(prefix_partitions(m, ClusterParams(), index, [10, 5]))
+        list(prefix_partitions(m, ClusterParams(), [10, 5]))
     with pytest.raises(IndexRangeError):
-        list(prefix_partitions(m, ClusterParams(), index, [21]))
+        list(prefix_partitions(m, ClusterParams(), [21]))
 
 
 def test_cluster_leaves_caller_index_unchanged(rng):

@@ -4,6 +4,7 @@ from bisect import bisect_left
 import numpy as np
 import pytest
 
+from wifi_inout import fpindex, pipeline
 from wifi_inout.config import PipelineConfig
 from wifi_inout.errors import (
     DegenerateLabelsError,
@@ -24,7 +25,7 @@ from wifi_inout.evaluation import (
 )
 from wifi_inout.learner import Prediction, label_nodes, train
 from wifi_inout.model import INDOOR, OUTDOOR, FingerprintMatrix, ingest
-from wifi_inout.pipeline import build_stages, fit, score
+from wifi_inout.pipeline import build_stages, fit, prefix_stages, score
 from wifi_inout.synth import WorldSpec, generate
 
 from oracles import auc_pair_counting
@@ -337,3 +338,29 @@ def test_warmup_equals_scoring_each_prefix(variant, min_pts):
     entries = warmup_eval(model, scenario, 12, cfg).entries
     assert len(entries) == 12
     assert entries == _warmup_by_prefix_scoring(model, scenario, 12, cfg)
+
+
+@pytest.mark.parametrize("variant", ["graph", "clusters"])
+def test_warmup_path_builds_no_index(variant, monkeypatch):
+    """At min_pts = 1 the prefix stages come from the self-join alone."""
+    cfg = PipelineConfig(seed=2, n_trees=20, variant=variant)
+    model = _trained_model(cfg)
+    scenario = ingest(generate(WorldSpec(seed=9, duration_s=720.0)))
+    t0 = scenario.timestamps_ms[0]
+    ends = [bisect_left(scenario.timestamps_ms, t0 + minute * 60000) for minute in range(1, 13)]
+    expected = [build_stages(scenario.prefix(n), cfg) for n in ends]
+    entries = _warmup_by_prefix_scoring(model, scenario, 12, cfg)
+
+    def no_index(m):
+        raise AssertionError("the warm-up path built an index")
+
+    monkeypatch.setattr(pipeline, "build_index", no_index)
+    monkeypatch.setattr(fpindex, "build_index", no_index)
+    got = list(prefix_stages(scenario, cfg, ends))
+    assert [n for n, _ in got] == ends
+    for (_, stages), want in zip(got, expected):
+        assert np.array_equal(stages.assignment.cluster_of, want.assignment.cluster_of)
+        assert (stages.graph.A != want.graph.A).nnz == 0
+        assert stages.features.names == want.features.names
+        assert np.array_equal(stages.features.rows, want.features.rows)
+    assert warmup_eval(model, scenario, 12, cfg).entries == entries

@@ -33,14 +33,14 @@ def test_posting_ranks_entry():
     assert m.fingerprints[0].ranks() == {A: 1.0, B: 2.0}
     assert list(index.posting_ranks[m.aps.index(A)]) == [1.0]
     assert list(index.posting_ranks[m.aps.index(B)]) == [2.0]
-    assert index.k[0] == 2
+    assert m.k[0] == 2
 
 
 def test_all_empty_matrix():
     m = make_matrix([{}, {}, {}, {}])
     index = build_index(m)
     assert index.postings == {}
-    assert list(np.flatnonzero(index.empty_mask)) == [0, 1, 2, 3]
+    assert list(np.flatnonzero(m.k == 0)) == [0, 1, 2, 3]
 
 
 def test_query_isolated_fingerprint():
@@ -91,8 +91,8 @@ def test_index_invariants(rng):
         assert set(ranks) == set(fp.powers)
         k = len(ranks)
         assert sum(ranks.values()) == k * (k + 1) / 2
-        assert index.k[i] == k
-        assert index.empty_mask[i] == fp.is_empty()
+        assert m.k[i] == k
+        assert (m.k[i] == 0) == fp.is_empty()
 
 
 def test_matches_linear_scan(rng):
@@ -110,7 +110,7 @@ def test_pruning_soundness(rng):
         fq = m.fingerprints[q]
         if fq.is_empty():
             window = {q - 1, q, q + 1}
-            candidates = {i for i in window if 0 <= i < m.T and index.empty_mask[i]}
+            candidates = {i for i in window if 0 <= i < m.T and m.k[i] == 0}
         else:
             candidates = set()
             for ap in fq.powers:
@@ -220,8 +220,8 @@ def reference_candidate_distances(q, index, m, live=None):
     s_rc2 = np.bincount(inv, weights=rc * rc, minlength=nb)
     s_cross = np.bincount(inv, weights=rq * rc, minlength=nb)
 
-    kq = float(index.k[q])
-    kc = index.k[uniq].astype(np.float64)
+    kq = float(m.k[q])
+    kc = m.k[uniq].astype(np.float64)
     n = kq + kc - o
     mq = kq - o
     mc = kc - o
@@ -231,8 +231,8 @@ def reference_candidate_distances(q, index, m, live=None):
     sc_sum = kc * (kc + 1.0) / 2.0
 
     shared = s_rq2 + s_rc2 - 2.0 * s_cross
-    q_only = (index.rank_sumsq[q] - s_rq2) - 2.0 * a_c * (sq_sum - s_rq) + mq * a_c * a_c
-    c_only = (index.rank_sumsq[uniq] - s_rc2) - 2.0 * a_q * (sc_sum - s_rc) + mc * a_q * a_q
+    q_only = (m.rank_sumsq[q] - s_rq2) - 2.0 * a_c * (sq_sum - s_rq) + mq * a_c * a_c
+    c_only = (m.rank_sumsq[uniq] - s_rc2) - 2.0 * a_q * (sc_sum - s_rc) + mc * a_q * a_q
     ssd = shared + q_only + c_only
 
     dist = np.zeros(nb)
@@ -262,7 +262,7 @@ def test_candidate_distances_equal_six_bincount_reference(scans, steps, rnd):
     index = build_index(m)
     private = [replace(index, postings=dict(index.postings),
                        posting_ranks=dict(index.posting_ranks)) for _ in range(2)]
-    nonempty = np.flatnonzero(~index.empty_mask)
+    nonempty = np.flatnonzero(m.k)
     live = np.ones(m.T, dtype=bool)
     settle = rnd.sample(range(m.T), m.T)
     for raw_q, n_settled in steps:
@@ -294,7 +294,7 @@ def test_eps_edges_equal_brute_force_pairs(scans, eps, block, data):
     n = data.draw(st.integers(0, m.T))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fpindex, "_JOIN_BLOCK", block)
-        head, tail = eps_edges(build_index(m), m, n, eps)
+        head, tail = eps_edges(m, n, eps)
     assert np.all(np.diff(head) >= 0)
     expected = {(t, j) for t in range(n) for j in region_scan(m, t, eps) if j < t}
     assert len(head) == len(expected)

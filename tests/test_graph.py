@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wifi_inout.clustering import ClusterAssignment, ClusterParams, check_coverage, cluster
+from wifi_inout.clustering import (
+    ClusterAssignment, ClusterParams, check_coverage, cluster, singleton_assignment,
+)
 from wifi_inout.errors import CoverageError, NodeRangeError
 from wifi_inout.fpindex import build_index
 from wifi_inout.graph import build_graph, neighborhood, write_graph
+from wifi_inout.model import ingest
 
-from conftest import make_matrix, random_scan_matrix
+from conftest import make_matrix, make_records, random_scan_matrix
 from oracles import consecutive_pair_edges
 
 
@@ -62,6 +65,17 @@ def test_max_gap_suppresses_edges():
     gapped = build_graph(assignment, m, max_gap_ms=10_000)
     edges = {(u, v) for u in range(3) for v in gapped.adjacency[u] if u < v}
     assert edges == {(1, 2)}  # the pair across the hole contributes nothing
+
+
+def test_max_gap_is_exact_for_stamps_2_63_ms_apart():
+    # 9e18 - (-9e18) wraps in int64 to a negative gap, which passed the bound
+    records = make_records([{}] * 3)
+    for rec, ts in zip(records, (-9 * 10**18, 9 * 10**18, 9 * 10**18 + 1000)):
+        rec.timestamp_ms = ts
+    m = ingest(records)
+    g = build_graph(singleton_assignment(m), m, 60000)
+    assert g.n_edges == 1
+    assert g.adjacency == [set(), {2}, {1}]
 
 
 def test_coverage_error():
@@ -178,16 +192,22 @@ def reference_write_graph(g, edges_path, nodes_path):
             f.write(f"{u} {len(members)} {len(members)}\n")
 
 
+# stamps near each other, far apart or at the int64 ends, in any order
+# (an unchecked matrix's stamps may decrease)
+_stamps = st.one_of(st.integers(0, 40), st.sampled_from([-2**63, 2**63 - 1]),
+                    st.integers(-2**63, 2**63 - 1))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(0, 15), min_size=1, max_size=80), st.data())
 def test_build_and_write_graph_equal_per_scan_loop(tmp_path_factory, cluster_of, data):
     m = _trivial_matrix(len(cluster_of))
-    gaps = data.draw(st.lists(st.integers(0, 20), min_size=len(cluster_of) - 1,
-                              max_size=len(cluster_of) - 1))
-    m.timestamps_ms[1:] = (m.timestamps_ms[0] + np.cumsum(gaps)).tolist()
+    m.timestamps_ms[:] = data.draw(st.lists(_stamps, min_size=len(cluster_of),
+                                            max_size=len(cluster_of)))
     assignment = _assignment(cluster_of)
     out = tmp_path_factory.mktemp("graphs")
-    for max_gap_ms in (None, data.draw(st.integers(0, 20))):
+    max_gap = st.one_of(st.integers(0, 20), st.integers(0, 2**63 - 1))
+    for max_gap_ms in (None, data.draw(max_gap)):
         g = build_graph(assignment, m, max_gap_ms)
         want = reference_build_graph(assignment, m, max_gap_ms)
         assert g.A.has_canonical_format
