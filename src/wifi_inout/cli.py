@@ -201,8 +201,9 @@ def _write_predictions(path, pred: Prediction, assignment: ClusterAssignment) ->
 
 def _read_predictions(path, threshold: float, T: int) -> Prediction:
     """Inverse of _write_predictions for a scan log of T fingerprints;
-    seqs must be exactly 0..T-1, and node ids, as in any partition of T
-    fingerprints, integers in [0, T)."""
+    seqs must be exactly 0..T-1, node ids, as in any partition of T
+    fingerprints, integers in [0, T), and every row of one node must
+    carry the same score and label."""
     rows = []
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
@@ -229,7 +230,11 @@ def _read_predictions(path, threshold: float, T: int) -> Prediction:
     fp_scores = np.array([r[2] for r in rows], dtype=np.float64)
     fp_labels = [r[3] for r in rows]
     node_scores = np.zeros(max(r[1] for r in rows) + 1)
-    for _, node, score, _ in rows:
+    first = {}
+    for seq, node, score, label in rows:
+        if first.setdefault(node, (seq, score, label))[1:] != (score, label):
+            raise FormatError(f"{path}: seqs {first[node][0]} and {seq} give node {node} "
+                              "different scores or labels")
         node_scores[node] = score
     node_labels = [INDOOR if s >= threshold else OUTDOOR for s in node_scores]
     return Prediction(node_scores, node_labels, fp_scores, fp_labels, threshold)

@@ -17,10 +17,12 @@ on stream position.
 
 At min_pts = 1 appending a fingerprint only adds eps-edges, so the
 eps-edges of a whole stream, found once, give the partition of every
-prefix (`prefix_partitions`; Ester et al., VLDB 1998). They come from one
-blocked sparse self-join over the stream's scans (`fpindex.eps_edges`)
-rather than one region query per scan, so they need no index; only
-`cluster`'s region queries read one.
+prefix (`prefix_partitions`; Ester et al., VLDB 1998), and a minimum
+spanning forest of them, weighted by the later scan, spans the same
+components at every prefix with far fewer edges. The eps-edges come
+from one blocked sparse self-join over the stream's scans
+(`fpindex.eps_edges`) rather than one region query per scan, so they
+need no index; only `cluster`'s region queries read one.
 
 A partition is stored once, as its label vector `cluster_of`; cluster
 sizes and member lists are derived from it.
@@ -36,7 +38,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 
 from .errors import ConfigError, CoverageError, FormatError, IndexRangeError, require_int64
 from .fpindex import FingerprintIndex, eps_edges, region_query_arr
@@ -162,9 +164,12 @@ def prefix_partitions(
     non-decreasing `ends`, equal to `cluster` on each prefix (min_pts = 1).
 
     One self-join over the first ends[-1] fingerprints of m, with no
-    index, finds every eps-edge (t, j < t) once (`eps_edges`). The edges
-    come in ascending t, so a prefix's edges are a leading run of them,
-    and its partition is their connected components.
+    index, finds every eps-edge (t, j < t) once (`eps_edges`). Weighted
+    t + 1, the edges give one minimum spanning forest, and a prefix of n
+    fingerprints joins only the forest edges headed below n: by the
+    cycle property, the forest edges lighter than a weight span the same
+    components as all the edges lighter than it (Kruskal, Proc. AMS
+    1956). So each prefix's components cost at most n - 1 edges.
     """
     params.validate()
     if params.min_pts != 1:
@@ -175,8 +180,13 @@ def prefix_partitions(
             raise IndexRangeError(f"prefix end {n} not in [{done}, {m.T}]")
         done = n
     head, tail = eps_edges(m, done, params.eps)
+    forest = minimum_spanning_tree(
+        csr_matrix((head + 1.0, (head, tail)), shape=(done, done))).tocoo()
+    order = np.argsort(forest.data, kind="stable")
+    head = forest.data[order].astype(np.int64) - 1  # an edge's weight is its head + 1
+    tail = (forest.row + forest.col)[order] - head
     for n in ends:
-        indptr = np.searchsorted(head, np.arange(n + 1))  # row t: the edges headed t
+        indptr = np.searchsorted(head, np.arange(n + 1))  # row t: the forest edges headed t
         edges = csr_matrix((np.ones(indptr[-1], dtype=bool), tail[:indptr[-1]], indptr),
                            shape=(n, n))
         _, labels = connected_components(edges, directed=False)

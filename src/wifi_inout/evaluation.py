@@ -3,7 +3,8 @@ cross-validation, and per-minute warm-up reports.
 
 Indoor is the positive class throughout. Metrics are computed per
 fingerprint (node scores are broadcast first), and only fingerprints
-carrying a ground-truth label count. Fingerprints between a ground-truth
+carrying a ground-truth label count; `evaluate` and the warm-up count
+them with one helper, `_confusion`. Fingerprints between a ground-truth
 switch and its detection still count as errors.
 """
 
@@ -37,7 +38,11 @@ def auc(pairs: Sequence[Tuple[float, object]]) -> float:
     """Probability a random indoor instance outscores a random outdoor
     one, ties counted 1/2 (Mann-Whitney on average ranks)."""
     scores = np.array([float(s) for s, _ in pairs])
-    y = np.array([_is_positive(lab) for _, lab in pairs])
+    y = np.array([_is_positive(lab) for _, lab in pairs], dtype=bool)
+    return _auc(scores, y)
+
+
+def _auc(scores: np.ndarray, y: np.ndarray) -> float:
     n1 = int(y.sum())
     n0 = len(y) - n1
     if n1 == 0 or n0 == 0:
@@ -63,27 +68,37 @@ class EvalReport:
     n_evaluated: int
 
 
+def _truth_codes(labels: Sequence[Optional[str]]) -> np.ndarray:
+    """Per fingerprint, 1 if labelled indoor, 0 if outdoor, -1 if unlabelled."""
+    labels = np.asarray(labels, dtype=object)
+    return np.where(labels == INDOOR, 1, np.where(labels == OUTDOOR, 0, -1))
+
+
+def _confusion(
+    truth: np.ndarray, pred_in: np.ndarray, group: np.ndarray, n_groups: int
+) -> List[Tuple[int, int, int, int]]:
+    """Per group, (tp, fn, fp, tn) over the labelled fingerprints, from
+    `_truth_codes`, the predicted-indoor mask and each fingerprint's group."""
+    labelled = truth >= 0
+    code = 4 * group[labelled] + 2 * (truth[labelled] == 0) + ~pred_in[labelled]
+    counts = np.bincount(code, minlength=4 * n_groups).reshape(n_groups, 4)
+    return [tuple(c) for c in counts.tolist()]
+
+
 def evaluate(pred: Prediction, labels: Sequence[Optional[str]]) -> EvalReport:
     """Metrics over labeled fingerprints; AUC omitted when only one class
     is present."""
-    idx = [i for i, lab in enumerate(labels) if lab in (INDOOR, OUTDOOR)]
-    if not idx:
+    truth = _truth_codes(labels)
+    pred_in = np.asarray(pred.fp_labels, dtype=object) == INDOOR
+    ((tp, fn, fp, tn),) = _confusion(truth, pred_in, np.zeros(len(truth), np.int64), 1)
+    n = tp + fn + fp + tn
+    if not n:
         raise NoLabelsError("no labeled fingerprints to evaluate")
-    tp = fp = tn = fn = 0
-    for i in idx:
-        truth_in = labels[i] == INDOOR
-        pred_in = pred.fp_labels[i] == INDOOR
-        if truth_in and pred_in:
-            tp += 1
-        elif truth_in:
-            fn += 1
-        elif pred_in:
-            fp += 1
-        else:
-            tn += 1
-    n = len(idx)
+    labelled = truth >= 0
     try:
-        auc_value: Optional[float] = auc([(pred.fp_scores[i], labels[i]) for i in idx])
+        auc_value: Optional[float] = _auc(
+            np.asarray(pred.fp_scores, dtype=np.float64)[labelled],
+            truth[labelled] == 1)
     except DegenerateLabelsError:
         auc_value = None
     return EvalReport(
@@ -254,6 +269,10 @@ def warmup_eval(
     model scores the clusters, graph and features of each minute prefix,
     as `pipeline.score` would on that prefix alone. At min_pts = 1 every
     prefix's clusters come from one clustering pass over the scenario.
+    The prefixes come in stacked chunks (`pipeline.prefix_stages`): one
+    `predict` scores a chunk, and one `bincount` (`_confusion`) over
+    each stacked scan's prefix counts every minute's labelled and
+    correct fingerprints.
 
     Minute boundaries start at the first fingerprint's timestamp; the
     report truncates at the last minute that actually contains data.
@@ -270,8 +289,15 @@ def warmup_eval(
     ends = [bisect_left(m.timestamps_ms, t0 + minute * 60000)
             for minute in range(1, min(minutes, last_minute) + 1)]
     entries: List[WarmupEntry] = []
-    for minute, (n, stages) in enumerate(prefix_stages(m, config, ends), 1):
+    for chunk in prefix_stages(m, config, ends):
+        stages = chunk.stages
         pred = predict(model, stages.features, stages.assignment, config.threshold)
-        report = evaluate(pred, m.labels[:n])
-        entries.append(WarmupEntry(minute, report.accuracy, report.n_evaluated))
+        truth = _truth_codes(m.labels[:chunk.ends[-1]])[chunk.scan]
+        group = np.repeat(np.arange(len(chunk.ends)), chunk.ends)
+        counts = _confusion(truth, pred.fp_scores >= config.threshold, group, len(chunk.ends))
+        for tp, fn, fp, tn in counts:
+            n = tp + fn + fp + tn
+            if not n:
+                raise NoLabelsError("no labeled fingerprints to evaluate")
+            entries.append(WarmupEntry(len(entries) + 1, (tp + tn) / n, n))
     return WarmupReport(entries)

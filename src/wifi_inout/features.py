@@ -6,6 +6,12 @@ readings in the neighborhood), average APs per scan, and average
 fingerprints per cluster. The default hop ranges (neighbors 2..6, the
 rest 0..4) give the standard 20-component vector; the ranges stay
 configurable so the regression tool below can re-derive them.
+
+Features come in two steps: `node_totals` sums each node's size,
+readings and dBm, and `neighborhood_features`, the one blocked BFS,
+pools those totals over each node's hop-d balls. `extract_features`
+runs both on one graph; the warm-up runs them on a chunk of stacked
+prefixes (`pipeline.prefix_stages`).
 """
 
 from __future__ import annotations
@@ -91,18 +97,38 @@ def extract_features(
     the sentinel); aps = total readings / total fingerprints (empties
     count in the denominator); fps = mean cluster size.
 
-    All nodes are BFS sources, _SOURCE_BLOCK at a time: with V = [1,
-    size, readings, dBm sum] per node, `bfs_layers` gives the frontiers
-    F_0 = I[block] and F_d = (F_{d-1} A) > F_{d-1} + F_{d-2}, and hop d
-    totals S_d = F_0 V + ... + F_d V. A source's frontiers are disjoint,
-    so a block's hold at most _SOURCE_BLOCK x n_nodes entries. S adds only integers
-    (ingest keeps integer dBm), exactly in float64 in any order, so the
-    rows equal a per-node BFS's bit for bit.
+    The node totals come from `node_totals`, the rows from
+    `neighborhood_features`.
+    """
+    dbm_sum = np.bincount(m.rows, m.dbm, m.T)
+    return neighborhood_features(g, node_totals(g.cluster_of, g.n_nodes, m.k, dbm_sum), ranges)
+
+
+def node_totals(cluster_of: np.ndarray, n_nodes: int, k: np.ndarray,
+                dbm_sum: np.ndarray) -> np.ndarray:
+    """V = [1, size, readings, dBm sum] per node, from each row's node
+    `cluster_of`, AP count `k` and dBm sum."""
+    return np.column_stack([np.ones(n_nodes), np.bincount(cluster_of, minlength=n_nodes),
+                            np.bincount(cluster_of, k, n_nodes),
+                            np.bincount(cluster_of, dbm_sum, n_nodes)])
+
+
+def neighborhood_features(
+    g: TransitionGraph, V: np.ndarray, ranges: FeatureRanges = DEFAULT_RANGES
+) -> FeatureTable:
+    """The feature rows of every node of g from its node totals V
+    (`node_totals`).
+
+    All nodes are BFS sources, _SOURCE_BLOCK at a time: `bfs_layers`
+    gives the frontiers F_0 = I[block] and F_d = (F_{d-1} A) > F_{d-1} +
+    F_{d-2}, and hop d totals S_d = F_0 V + ... + F_d V. A source's
+    frontiers are disjoint, so a block's hold at most _SOURCE_BLOCK x
+    n_nodes entries. S adds only integers (ingest keeps integer dBm),
+    exactly in float64 in any order, so the rows equal a per-node BFS's
+    bit for bit, and a block-diagonal graph of stacked prefixes gives
+    each prefix the rows its own graph would.
     """
     n = g.n_nodes
-    V = np.column_stack([np.ones(n), np.bincount(g.cluster_of, minlength=n),
-                         np.bincount(g.cluster_of, m.k, n),
-                         np.bincount(g.cluster_of[m.rows], m.dbm, n)])
     fam, hop = zip(*ranges.columns())
     rows = np.empty((n, len(hop)))
     for lo in range(0, n, _SOURCE_BLOCK):

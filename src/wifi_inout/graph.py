@@ -7,7 +7,10 @@ dwells condense into heavy, densely connected nodes while outdoor walks
 string out into chains, which is what the node features pick up.
 
 A graph is stored once, as the partition's labels and a symmetric boolean
-CSR adjacency. `bfs_layers`, the one BFS, walks it in sparse algebra for a
+CSR adjacency. `transition_graph` builds it from the labels and a flag
+per row saying whether the row may join the one before it, so the
+partitions of several prefixes stacked one after another give one
+block-diagonal graph. `bfs_layers`, the one BFS, walks it in sparse algebra for a
 block of sources at once (Kepner & Gilbert, SIAM 2011); the features and
 `neighborhood` both call it."""
 
@@ -75,15 +78,32 @@ def build_graph(
     timestamp gap contribute nothing (guards multi-hour collection holes;
     off by default)."""
     check_coverage(assignment, m)
-    n = assignment.n_clusters
-    u, v = assignment.cluster_of[:-1], assignment.cluster_of[1:]
-    keep = u != v
+    return transition_graph(assignment.cluster_of, assignment.n_clusters,
+                            scan_joins(m.timestamps_ms, max_gap_ms))
+
+
+def scan_joins(timestamps_ms: Sequence[int], max_gap_ms: Optional[int] = None) -> np.ndarray:
+    """Per scan, whether an edge may join it to the scan before it: every
+    scan but the first, within max_gap_ms of it when that is set."""
+    joins = np.ones(len(timestamps_ms), dtype=bool)
+    joins[:1] = False
     if max_gap_ms is not None:
         # Python-int gaps: an int64 difference wraps once stamps are 2**63 ms apart
-        keep &= (np.diff(np.array(m.timestamps_ms, dtype=object)) <= max_gap_ms).astype(bool)
+        joins[1:] = np.diff(np.array(timestamps_ms, dtype=object)) <= max_gap_ms
+    return joins
+
+
+def transition_graph(cluster_of: np.ndarray, n_nodes: int, joins: np.ndarray) -> TransitionGraph:
+    """The graph whose edges join each row i of `cluster_of` with
+    `joins[i]` set to row i - 1, when the two sit in distinct nodes. A
+    row that starts a stacked prefix has `joins` clear, so no edge
+    crosses from one prefix to the next."""
+    u, v = cluster_of[:-1], cluster_of[1:]
+    keep = joins[1:] & (u != v)
     u, v = u[keep], v[keep]  # repeated pairs merge as CSR sums its COO input
-    A = csr_array((np.ones(2 * len(u), bool), (np.r_[u, v], np.r_[v, u])), shape=(n, n))
-    return TransitionGraph(A=A, cluster_of=assignment.cluster_of)
+    A = csr_array((np.ones(2 * len(u), bool), (np.r_[u, v], np.r_[v, u])),
+                  shape=(n_nodes, n_nodes))
+    return TransitionGraph(A=A, cluster_of=cluster_of)
 
 
 def bfs_layers(g: TransitionGraph, sources: Sequence[int], max_d: int) -> List[csr_array]:

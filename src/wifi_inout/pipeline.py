@@ -8,13 +8,18 @@ cluster (the raw-fingerprint baseline).
 
 The stagewise CLI, cross-validation and warm-up evaluation call
 `partition`, `graph`, `stages` and `train_model` too, so every path maps
-a config onto the same stage calls.
+a config onto the same stage calls. The warm-up's minute prefixes go
+through `prefix_stages`, which stacks them block-diagonally in chunks,
+so that one graph, one BFS and one prediction serve every prefix of a
+chunk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterator, List, Sequence, Tuple
+
+import numpy as np
 
 from .clustering import (
     ClusterAssignment,
@@ -25,11 +30,15 @@ from .clustering import (
 )
 from .config import PipelineConfig
 from .evaluation import EvalReport, evaluate
-from .features import FeatureTable, extract_features
+from .features import FeatureTable, extract_features, neighborhood_features, node_totals
 from .fpindex import build_index
-from .graph import TransitionGraph, build_graph
+from .graph import TransitionGraph, build_graph, scan_joins, transition_graph
 from .learner import LabeledNode, Model, Prediction, label_nodes, predict, train
 from .model import FingerprintMatrix
+
+# stacked scans per chunk in prefix_stages; bounds a chunk's graph, BFS
+# and feature rows
+_CHUNK_SCANS = 2**14
 
 
 @dataclass
@@ -74,24 +83,69 @@ def build_stages(m: FingerprintMatrix, config: PipelineConfig) -> Stages:
     return stages(partition(m, config), m, config)
 
 
+@dataclass
+class PrefixChunk:
+    """The stages of consecutive prefixes of one stream, stacked: prefix
+    p's ends[p] scans are the rows of `stages.assignment` that follow the
+    previous prefixes' rows, and its node x is node node_starts[p] + x of
+    `stages.graph` and `stages.features`."""
+
+    ends: List[int]
+    stages: Stages
+    node_starts: np.ndarray  # per prefix, its first stacked node
+    scan: np.ndarray         # per stacked row, its scan index in the stream
+
+
 def prefix_stages(
     m: FingerprintMatrix, config: PipelineConfig, ends: Sequence[int]
-) -> Iterator[Tuple[int, Stages]]:
-    """Yield (n, stages of m.prefix(n)) for each n in the non-decreasing
-    `ends`, equal to `build_stages(m.prefix(n), config)`.
+) -> Iterator[PrefixChunk]:
+    """The stages of m.prefix(n) for each n in the non-decreasing `ends`,
+    each prefix's equal to `build_stages(m.prefix(n), config)`, stacked
+    in chunks of consecutive prefixes that hold at most _CHUNK_SCANS rows
+    between them (a larger prefix is a chunk of its own).
 
     Clustered variants at min_pts = 1 take every prefix's partition from
     one self-join over m, with no index; singletons, and min_pts > 1,
     whose border points depend on the expansion order, partition each
-    prefix afresh.
+    prefix afresh. Either way, a chunk builds one block-diagonal graph
+    and walks one BFS over it: no row, node or edge crosses prefixes, so
+    every prefix's numbers are its own.
     """
     if config.variant != "fingerprints" and config.min_pts == 1:
         params = ClusterParams(config.eps, config.min_pts)
         parts = prefix_partitions(m, params, ends)
     else:
         parts = ((n, partition(m.prefix(n), config)) for n in ends)
+    chunk: List[Tuple[int, ClusterAssignment]] = []
+    rows = 0
     for n, assignment in parts:
-        yield n, stages(assignment, m.prefix(n), config)
+        if chunk and rows + n > _CHUNK_SCANS:
+            yield _stack(chunk, m, config)
+            chunk, rows = [], 0
+        chunk.append((n, assignment))
+        rows += n
+    if chunk:
+        yield _stack(chunk, m, config)
+
+
+def _stack(
+    chunk: List[Tuple[int, ClusterAssignment]], m: FingerprintMatrix, config: PipelineConfig
+) -> PrefixChunk:
+    """One chunk's stages, from its (n, partition of m.prefix(n)) pairs."""
+    ends = [n for n, _ in chunk]
+    m = m.prefix(ends[-1])
+    node_starts = np.cumsum([0] + [a.n_clusters for _, a in chunk])
+    cluster_of = np.concatenate(
+        [a.cluster_of + o for (_, a), o in zip(chunk, node_starts.tolist())])
+    starts = np.cumsum([0] + ends[:-1])
+    scan = np.arange(len(cluster_of)) - np.repeat(starts, ends)
+    g = transition_graph(cluster_of, int(node_starts[-1]),
+                         scan_joins(m.timestamps_ms, config.max_gap_ms)[scan])
+    dbm_sum = np.bincount(m.rows, m.dbm, m.T)
+    feats = neighborhood_features(g, node_totals(cluster_of, g.n_nodes, m.k[scan], dbm_sum[scan]),
+                                  config.feature_ranges())
+    return PrefixChunk(ends, Stages(ClusterAssignment(cluster_of), g, feats),
+                       node_starts[:-1], scan)
 
 
 def fit(m: FingerprintMatrix, config: PipelineConfig) -> Tuple[Model, Stages]:

@@ -468,6 +468,38 @@ def test_non_int64_prediction_field_exits_one(tmp_path, worlds, capsys, command,
     assert "error:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["eval", "latency"])
+def test_disagreeing_rows_of_one_node_exit_one(tmp_path, worlds, capsys, command):
+    a, b = worlds
+    prefix = tmp_path / "run"
+    assert main(["pipeline", "--train", str(a), "--test", str(b),
+                 "--out", str(prefix)]) == 0
+    preds = tmp_path / "run.preds.jsonl"
+    rows = [json.loads(line) for line in preds.read_text().splitlines()]
+    # seq 1 joins seq 0's node with another score and label: no model gave both
+    rows[1] = {**rows[0], "seq": 1, "score": 0.0 if rows[0]["score"] else 1.0,
+               "label": OUTDOOR if rows[0]["label"] == INDOOR else INDOOR}
+    preds.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    capsys.readouterr()
+    assert main([command, "--preds", str(preds), "--scans", str(b)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("rows", [
+    [(0, 0.9, INDOOR), (0, 0.1, OUTDOOR), (1, 0.4, INDOOR)],  # no model gives node 0 both
+    [(0, 0.9, INDOOR), (0, 0.9, OUTDOOR), (1, 0.4, OUTDOOR)],  # same score, other label
+    [(0, 0.9, INDOOR), (0, 0.8, INDOOR), (1, 0.4, OUTDOOR)],   # same label, other score
+], ids=["score-and-label", "label", "score"])
+def test_read_predictions_rejects_disagreeing_rows_of_one_node(tmp_path, rows):
+    path = tmp_path / "split.jsonl"
+    path.write_text("".join(
+        json.dumps({"seq": i, "node": node, "score": score, "label": label}) + "\n"
+        for i, (node, score, label) in enumerate(rows)), encoding="utf-8")
+    with pytest.raises(FormatError, match="node 0"):
+        _read_predictions(path, 0.5, 3)
+
+
 def test_self_loop_model_makes_predict_exit_one(tmp_path, worlds, capsys):
     a, b = worlds
     prefix = tmp_path / "run"

@@ -311,7 +311,7 @@ def test_bijective_bssid_renaming_keeps_partition(scans, eps, perm, data):
     assert _same(_partitions(renamed, eps, ends), _partitions(scans, eps, ends))
 
 
-def test_prefix_partitions_join_exactly_the_eps_pairs_of_each_prefix(rng, monkeypatch):
+def test_prefix_partitions_join_a_spanning_forest_of_each_prefix(rng, monkeypatch):
     m = random_scan_matrix(rng, 80, ap_pool=12, empty_prob=0.15)
     graphs = []
 
@@ -328,7 +328,13 @@ def test_prefix_partitions_join_exactly_the_eps_pairs_of_each_prefix(rng, monkey
         prefix = m.prefix(n)
         pairs = {(t, j) for t in range(n) for j in region_scan(prefix, t, eps) if j < t}
         assert g.shape == (n, n)
-        assert set(zip(g.row.tolist(), g.col.tolist())) == pairs
+        assert g.nnz <= max(n - 1, 0)
+        assert set(zip(g.row.tolist(), g.col.tolist())) <= pairs
+        eps_graph = np.zeros((n, n), dtype=bool)
+        for t, j in pairs:
+            eps_graph[t, j] = True
+        assert np.array_equal(_canonical(connected_components(g, directed=False)[1]).cluster_of,
+                              _canonical(connected_components(eps_graph, directed=False)[1]).cluster_of)
 
 
 def test_prefix_partitions_reject_bad_arguments(rng):

@@ -1,14 +1,19 @@
 import dataclasses
+import functools
 from bisect import bisect_left
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wifi_inout import fpindex, pipeline
+from wifi_inout.clustering import ClusterAssignment
 from wifi_inout.config import PipelineConfig
 from wifi_inout.errors import (
     DegenerateLabelsError,
     EmptyPrefixError,
+    FeatureMismatchError,
     NoLabelsError,
     NoTransitionsError,
     SingleLocationError,
@@ -23,6 +28,8 @@ from wifi_inout.evaluation import (
     switch_latency,
     warmup_eval,
 )
+from wifi_inout.features import FeatureTable
+from wifi_inout.graph import TransitionGraph
 from wifi_inout.learner import Prediction, label_nodes, train
 from wifi_inout.model import INDOOR, OUTDOOR, FingerprintMatrix, ingest
 from wifi_inout.pipeline import build_stages, fit, prefix_stages, score
@@ -340,6 +347,36 @@ def test_warmup_equals_scoring_each_prefix(variant, min_pts):
     assert entries == _warmup_by_prefix_scoring(model, scenario, 12, cfg)
 
 
+def _prefix_slices(chunks):
+    """(n, stages) of every prefix of the chunks `prefix_stages` yields,
+    sliced from its chunk; each chunk must be block-diagonal."""
+    for chunk in chunks:
+        s = chunk.stages
+        starts = np.cumsum([0] + chunk.ends)
+        node_ends = np.r_[chunk.node_starts[1:], s.graph.n_nodes]
+        assert len(s.assignment.cluster_of) == len(chunk.scan) == starts[-1]
+        assert s.features.n_nodes == s.graph.n_nodes
+        blocks = []
+        for p, n in enumerate(chunk.ends):
+            lo, hi = chunk.node_starts[p], node_ends[p]
+            assert np.array_equal(chunk.scan[starts[p]:starts[p + 1]], np.arange(n))
+            cluster_of = s.assignment.cluster_of[starts[p]:starts[p + 1]] - lo
+            A = s.graph.A[lo:hi, lo:hi]
+            blocks.append(A.nnz)
+            yield n, pipeline.Stages(ClusterAssignment(cluster_of),
+                                     TransitionGraph(A, cluster_of),
+                                     FeatureTable(s.features.names, s.features.rows[lo:hi]))
+        assert sum(blocks) == s.graph.A.nnz  # no edge crosses prefixes
+
+
+def _assert_same_stages(got, want):
+    assert np.array_equal(got.assignment.cluster_of, want.assignment.cluster_of)
+    assert got.graph.A.shape == want.graph.A.shape
+    assert (got.graph.A != want.graph.A).nnz == 0
+    assert got.features.names == want.features.names
+    assert np.array_equal(got.features.rows, want.features.rows)
+
+
 @pytest.mark.parametrize("variant", ["graph", "clusters"])
 def test_warmup_path_builds_no_index(variant, monkeypatch):
     """At min_pts = 1 the prefix stages come from the self-join alone."""
@@ -356,11 +393,69 @@ def test_warmup_path_builds_no_index(variant, monkeypatch):
 
     monkeypatch.setattr(pipeline, "build_index", no_index)
     monkeypatch.setattr(fpindex, "build_index", no_index)
-    got = list(prefix_stages(scenario, cfg, ends))
+    got = list(_prefix_slices(prefix_stages(scenario, cfg, ends)))
     assert [n for n, _ in got] == ends
     for (_, stages), want in zip(got, expected):
-        assert np.array_equal(stages.assignment.cluster_of, want.assignment.cluster_of)
-        assert (stages.graph.A != want.graph.A).nnz == 0
-        assert stages.features.names == want.features.names
-        assert np.array_equal(stages.features.rows, want.features.rows)
+        _assert_same_stages(stages, want)
     assert warmup_eval(model, scenario, 12, cfg).entries == entries
+
+
+@functools.lru_cache(maxsize=None)
+def _small_model(variant):
+    cfg = PipelineConfig(seed=2, n_trees=10, variant=variant)
+    return fit(ingest(generate(WorldSpec(seed=1, duration_s=1800.0))), cfg)[0]
+
+
+@pytest.mark.parametrize("max_gap_ms", [None, 6000])
+@pytest.mark.parametrize("variant, min_pts", [
+    ("graph", 1), ("clusters", 1), ("fingerprints", 1), ("graph", 2),
+])
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**16), minutes=st.integers(1, 6), data=st.data())
+def test_every_chunk_bound_gives_each_prefix_its_own_stages(variant, min_pts, max_gap_ms,
+                                                            seed, minutes, data):
+    """Prefixes stacked at any chunk bound (every prefix alone, a few
+    scans, a few minutes, the default) equal `build_stages` and
+    `pipeline.score` on each prefix; held-out gaps longer than max_gap_ms
+    cut edges inside a prefix."""
+    cfg = PipelineConfig(seed=2, n_trees=10, variant=variant, min_pts=min_pts,
+                         max_gap_ms=max_gap_ms)
+    records = generate(WorldSpec(seed=seed, duration_s=60.0 * minutes))
+    gaps = data.draw(st.lists(st.sampled_from([0, 0, 0, 5000, 40000]),
+                              min_size=len(records), max_size=len(records)))
+    for rec, shift in zip(records, np.cumsum(gaps).tolist()):
+        rec.timestamp_ms += shift
+    m = ingest(records)
+    ends = sorted(data.draw(st.lists(st.integers(0, m.T), min_size=1, max_size=6)))
+    expected = [build_stages(m.prefix(n), cfg) for n in ends]
+    model = _small_model(variant)
+    entries = _warmup_by_prefix_scoring(model, m, minutes + 2, cfg)
+    for bound in (1, 7, 90, pipeline._CHUNK_SCANS):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(pipeline, "_CHUNK_SCANS", bound)
+            got = list(_prefix_slices(prefix_stages(m, cfg, ends)))
+            assert [n for n, _ in got] == ends
+            for (_, stages), want in zip(got, expected):
+                _assert_same_stages(stages, want)
+            assert warmup_eval(model, m, minutes + 2, cfg).entries == entries
+
+
+def test_warmup_unlabelled_first_minute_raises_no_labels():
+    cfg = PipelineConfig(seed=2, n_trees=10)
+    records = generate(WorldSpec(seed=9, duration_s=300.0))
+    t0 = records[0].timestamp_ms
+    for rec in records:
+        if rec.timestamp_ms < t0 + 60000:
+            rec.label = None
+    m = ingest(records)
+    model = _small_model("graph")
+    with pytest.raises(NoLabelsError):
+        _warmup_by_prefix_scoring(model, m, 5, cfg)
+    with pytest.raises(NoLabelsError):
+        warmup_eval(model, m, 5, cfg)
+
+
+def test_warmup_with_another_variants_model_raises_feature_mismatch():
+    m = ingest(generate(WorldSpec(seed=9, duration_s=300.0)))
+    with pytest.raises(FeatureMismatchError):
+        warmup_eval(_small_model("clusters"), m, 5, PipelineConfig(seed=2, variant="graph"))
