@@ -19,7 +19,9 @@ import numpy as np
 
 from . import evaluation, pipeline
 from .clustering import ClusterAssignment, read_assignment, write_assignment
-from .config import PipelineConfig, config_from_file, config_with_overrides
+from .config import (
+    LEARNERS, VARIANTS, PipelineConfig, config_from_file, config_with_overrides,
+)
 from .errors import FormatError, WifiInoutError, first_non_int64
 from .features import (
     neighborhood_feature_grid,
@@ -199,11 +201,12 @@ def _write_predictions(path, pred: Prediction, assignment: ClusterAssignment) ->
             f.write("\n")
 
 
-def _read_predictions(path, threshold: float, T: int) -> Prediction:
+def _read_predictions(path, T: int) -> Prediction:
     """Inverse of _write_predictions for a scan log of T fingerprints;
     seqs must be exactly 0..T-1, node ids, as in any partition of T
     fingerprints, integers in [0, T), and every row of one node must
-    carry the same score and label."""
+    carry the same score and label. A node id no row names scores 0,
+    outdoor."""
     rows = []
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
@@ -230,20 +233,21 @@ def _read_predictions(path, threshold: float, T: int) -> Prediction:
     fp_scores = np.array([r[2] for r in rows], dtype=np.float64)
     fp_labels = [r[3] for r in rows]
     node_scores = np.zeros(max(r[1] for r in rows) + 1)
+    node_labels = [OUTDOOR] * len(node_scores)
     first = {}
     for seq, node, score, label in rows:
         if first.setdefault(node, (seq, score, label))[1:] != (score, label):
             raise FormatError(f"{path}: seqs {first[node][0]} and {seq} give node {node} "
                               "different scores or labels")
         node_scores[node] = score
-    node_labels = [INDOOR if s >= threshold else OUTDOOR for s in node_scores]
-    return Prediction(node_scores, node_labels, fp_scores, fp_labels, threshold)
+        node_labels[node] = label
+    return Prediction(node_scores, node_labels, fp_scores, fp_labels)
 
 
 def cmd_eval(args) -> int:
-    cfg = _load_config(args)
+    _load_config(args)  # a bad flag or config file still exits 1
     m = _load_matrix(args.scans)
-    pred = _read_predictions(args.preds, cfg.threshold, m.T)
+    pred = _read_predictions(args.preds, m.T)
     report = evaluation.evaluate(pred, m.labels)
     _print_eval(report)
     _write_jsonl(args.out, [dataclasses.asdict(report)])
@@ -251,9 +255,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_latency(args) -> int:
-    cfg = _load_config(args)
+    _load_config(args)  # a bad flag or config file still exits 1
     m = _load_matrix(args.scans)
-    pred = _read_predictions(args.preds, cfg.threshold, m.T)
+    pred = _read_predictions(args.preds, m.T)
     report = evaluation.switch_latency(pred, m.labels, m.timestamps_ms)
     for s in report.switches:
         lat = f"{s.latency_s:.1f}s" if s.latency_s is not None else "never"
@@ -335,10 +339,9 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--min-pts", dest="min_pts", type=int, default=None)
-    p.add_argument("--learner", choices=["rf", "gbm"], default=None)
+    p.add_argument("--learner", choices=LEARNERS, default=None)
     p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--variant", choices=["graph", "clusters", "fingerprints"],
-                   default=None)
+    p.add_argument("--variant", choices=VARIANTS, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:

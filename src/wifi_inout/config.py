@@ -1,8 +1,12 @@
 """Pipeline configuration and the flat key = value config file format.
 
-Defaults reproduce the reference setup: eps 0.22, min_pts 1, the
-standard feature hop ranges, classification threshold 0.5, and
-indoor-favoring tie breaks.
+Defaults reproduce the reference setup: eps 0.22, min_pts 1,
+classification threshold 0.5, indoor-favoring tie breaks, and the
+learner defaults of `learner.RF_DEFAULTS` and `learner.GBM_DEFAULTS`.
+The feature hop ranges are the paper's, fixed: `DEFAULT_RANGES`
+(neighbors 2..6; power, aps and fps 0..4) for the graph variant and
+the hop-0 `BASELINE_RANGES` for the clusters and fingerprints
+baselines. `select-dims` is how those sizes are assessed.
 """
 
 from __future__ import annotations
@@ -12,10 +16,12 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional, get_args, get_type_hints
 
 from .errors import ConfigError, FormatError
-from .features import BASELINE_RANGES, FeatureRanges
-from .learner import GBM, RANDOM_FOREST
+from .clustering import ClusterParams
+from .features import BASELINE_RANGES, DEFAULT_RANGES, FeatureRanges
+from .learner import GBM, GBM_DEFAULTS, RANDOM_FOREST, RF_DEFAULTS, TIE_RULES
 
 VARIANTS = ("graph", "clusters", "fingerprints")
+LEARNERS = ("rf", "gbm")
 
 
 def parse_kv_file(path) -> Dict[str, str]:
@@ -58,37 +64,27 @@ def parse_fields(cls, raw: Dict[str, str]) -> Dict[str, Any]:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    eps: float = 0.22
-    min_pts: int = 1
+    eps: float = ClusterParams.eps
+    min_pts: int = ClusterParams.min_pts
     max_gap_ms: Optional[int] = None
     learner: str = "rf"            # rf | gbm
     seed: int = 0
     threshold: float = 0.5
     tie_rule: str = "indoor"       # indoor | drop
     variant: str = "graph"         # graph | clusters | fingerprints
-    # feature hop ranges (graph variant)
-    neighbors_d_min: int = 2
-    neighbors_d_max: int = 6
-    power_d_min: int = 0
-    power_d_max: int = 4
-    aps_d_min: int = 0
-    aps_d_max: int = 4
-    fps_d_min: int = 0
-    fps_d_max: int = 4
-    # learner hyperparameters
-    n_trees: int = 100
-    rf_max_features: Optional[int] = None
-    rf_max_depth: Optional[int] = None
-    min_leaf: int = 1
-    gbm_rounds: int = 100
-    gbm_depth: int = 3
-    learning_rate: float = 0.1
+    # learner hyperparameters; min_leaf serves both learners
+    n_trees: int = RF_DEFAULTS["n_trees"]
+    rf_max_features: Optional[int] = RF_DEFAULTS["max_features"]
+    rf_max_depth: Optional[int] = RF_DEFAULTS["max_depth"]
+    min_leaf: int = RF_DEFAULTS["min_leaf"]
+    gbm_rounds: int = GBM_DEFAULTS["n_rounds"]
+    gbm_depth: int = GBM_DEFAULTS["depth"]
+    learning_rate: float = GBM_DEFAULTS["learning_rate"]
 
     def validate(self) -> "PipelineConfig":
-        if not 0.0 <= self.eps < 2.0:
-            raise ConfigError(f"eps must be in [0, 2), got {self.eps}")
+        ClusterParams(self.eps, self.min_pts).validate()
         for name, lo in (
-            ("min_pts", 1), ("seed", 0), ("max_gap_ms", 0),
+            ("seed", 0), ("max_gap_ms", 0),
             ("n_trees", 1), ("rf_max_features", 1), ("rf_max_depth", 1),
             ("min_leaf", 1), ("gbm_rounds", 1), ("gbm_depth", 1),
         ):
@@ -99,22 +95,14 @@ class PipelineConfig:
             raise ConfigError(f"seed must be <= 2**63 - 1, got {self.seed}")
         if not 0.0 < self.learning_rate < math.inf:
             raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if self.learner not in ("rf", "gbm"):
+        if self.learner not in LEARNERS:
             raise ConfigError(f"learner must be rf or gbm, got {self.learner!r}")
         if not 0.0 <= self.threshold <= 1.0:
             raise ConfigError(f"threshold must be in [0, 1], got {self.threshold}")
-        if self.tie_rule not in ("indoor", "drop"):
+        if self.tie_rule not in TIE_RULES:
             raise ConfigError(f"tie_rule must be indoor or drop, got {self.tie_rule!r}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        for lo, hi, name in (
-            (self.neighbors_d_min, self.neighbors_d_max, "neighbors_d"),
-            (self.power_d_min, self.power_d_max, "power_d"),
-            (self.aps_d_min, self.aps_d_max, "aps_d"),
-            (self.fps_d_min, self.fps_d_max, "fps_d"),
-        ):
-            if lo < 0 or hi < lo:
-                raise ConfigError(f"bad {name} range [{lo}, {hi}]")
         return self
 
     def learner_kind(self) -> str:
@@ -136,14 +124,7 @@ class PipelineConfig:
         }
 
     def feature_ranges(self) -> FeatureRanges:
-        if self.variant in ("clusters", "fingerprints"):
-            return BASELINE_RANGES
-        return FeatureRanges(
-            neighbors=(self.neighbors_d_min, self.neighbors_d_max),
-            power=(self.power_d_min, self.power_d_max),
-            aps=(self.aps_d_min, self.aps_d_max),
-            fps=(self.fps_d_min, self.fps_d_max),
-        )
+        return DEFAULT_RANGES if self.variant == "graph" else BASELINE_RANGES
 
 
 def config_from_file(path) -> PipelineConfig:

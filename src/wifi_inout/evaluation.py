@@ -241,7 +241,6 @@ def location_cross_validation(m: FingerprintMatrix, config) -> XvalReport:
         node_labels=pooled_hard,
         fp_scores=np.asarray(pooled_scores),
         fp_labels=pooled_hard,
-        threshold=config.threshold,
     )
     pooled = evaluate(pooled_pred, pooled_truth) if pooled_truth else None
     return XvalReport(per_location, mean_auc, pooled, skipped)

@@ -3,9 +3,11 @@
 Four feature families are computed over bounded-hop neighborhoods:
 number of neighbor nodes, average signal strength (dBm, pooled over all
 readings in the neighborhood), average APs per scan, and average
-fingerprints per cluster. The default hop ranges (neighbors 2..6, the
-rest 0..4) give the standard 20-component vector; the ranges stay
-configurable so the regression tool below can re-derive them.
+fingerprints per cluster. The paper's hop ranges (neighbors 2..6, the
+rest 0..4, `DEFAULT_RANGES`) give the standard 20-component vector and
+are fixed for the pipeline; a library caller may pass other
+`FeatureRanges` to `extract_features`, and the regression tool below
+(`select-dims`) assesses the sizes over a wider grid.
 
 Features come in two steps: `node_totals` sums each node's size,
 readings and dBm, and `neighborhood_features`, the one blocked BFS,
@@ -25,7 +27,7 @@ from scipy.linalg import qr
 from scipy.stats import t as student_t
 
 from .errors import (
-    ConfigError, DegenerateLabelsError, FormatError, RankDeficiencyError,
+    ConfigError, DegenerateLabelsError, FormatError, RankDeficiencyError, first_non_int64,
 )
 from .graph import TransitionGraph, bfs_layers
 from .model import INDOOR, OUTDOOR, FingerprintMatrix
@@ -293,6 +295,6 @@ def read_features_csv(path) -> Tuple[FeatureTable, List[int], List[Optional[str]
     table = FeatureTable(names=names, rows=np.array(rows, dtype=np.float64))
     if not np.isfinite(table.rows).all():
         raise FormatError("feature CSV holds a non-finite value")
-    if any(w < 1 for w in weights):
-        raise FormatError("feature CSV weights must be >= 1")
+    if first_non_int64(weights) is not None or any(w < 1 for w in weights):
+        raise FormatError("feature CSV weights must be integers in [1, 2**63)")
     return table, weights, labels

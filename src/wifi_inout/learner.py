@@ -32,6 +32,7 @@ from .trees import Ensemble, Tree, grow_tree
 
 RANDOM_FOREST = "random_forest"
 GBM = "gbm"
+TIE_RULES = ("indoor", "drop")
 
 RF_DEFAULTS = {"n_trees": 100, "max_features": None, "min_leaf": 1, "max_depth": None}
 GBM_DEFAULTS = {"n_rounds": 100, "depth": 3, "learning_rate": 0.1, "min_leaf": 1}
@@ -65,7 +66,7 @@ def label_nodes(
     returned in the second list; they still get scored at prediction
     time.
     """
-    if tie_rule not in ("indoor", "drop"):
+    if tie_rule not in TIE_RULES:
         raise FormatError(f"tie_rule must be 'indoor' or 'drop', got {tie_rule!r}")
     labels = np.asarray(labels, dtype=object)
     votes = [np.bincount(assignment.cluster_of, labels == lab, assignment.n_clusters)
@@ -280,7 +281,6 @@ class Prediction:
     node_labels: List[str]
     fp_scores: np.ndarray
     fp_labels: List[str]
-    threshold: float = 0.5
 
 
 def predict(
@@ -299,4 +299,4 @@ def predict(
     node_labels = [INDOOR if s >= threshold else OUTDOOR for s in node_scores]
     fp_scores = node_scores[assignment.cluster_of]
     fp_labels = [INDOOR if s >= threshold else OUTDOOR for s in fp_scores]
-    return Prediction(node_scores, node_labels, fp_scores, fp_labels, threshold)
+    return Prediction(node_scores, node_labels, fp_scores, fp_labels)

@@ -130,6 +130,23 @@ def test_eval_table_and_report(tmp_path, worlds, capsys):
                            "tn", "fn", "n_evaluated"}
 
 
+@pytest.mark.parametrize("command", ["eval", "latency"])
+def test_eval_and_latency_take_labels_from_the_predictions_file(tmp_path, worlds, capsys,
+                                                                command):
+    a, b = worlds
+    prefix = tmp_path / "run"
+    assert main(["pipeline", "--train", str(a), "--test", str(b),
+                 "--out", str(prefix)]) == 0
+    outputs = set()
+    for threshold in ("0.05", "0.5", "0.95"):
+        out = tmp_path / f"{command}.{threshold}.jsonl"
+        capsys.readouterr()
+        assert main([command, "--preds", str(tmp_path / "run.preds.jsonl"),
+                     "--scans", str(b), "--threshold", threshold, "--out", str(out)]) == 0
+        outputs.add((capsys.readouterr().out, out.read_bytes()))
+    assert len(outputs) == 1
+
+
 def test_latency_subcommand(tmp_path, worlds):
     a, b = worlds
     model = tmp_path / "model.json"
@@ -328,6 +345,22 @@ def _tiny_scans(tmp_path):
     return scans
 
 
+@pytest.mark.parametrize("key", [f"{family}_d_{end}"
+                                 for family in ("neighbors", "power", "aps", "fps")
+                                 for end in ("min", "max")])
+def test_hop_range_key_exits_one(tmp_path, capsys, key):
+    # the hop ranges are the paper's, fixed: no config key sets them
+    scans = _tiny_scans(tmp_path)
+    cfg = tmp_path / "hops.cfg"
+    cfg.write_text(f"{key} = 4\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["pipeline", "--train", str(scans), "--test", str(scans),
+                 "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert f"error: unknown PipelineConfig key {key!r}" in err and "Traceback" not in err
+    assert not (tmp_path / "run.model.json").exists()
+
+
 @pytest.mark.parametrize("line", ["eps = none", "seed = none", "seed = 3.5"])
 def test_bad_config_value_exits_one(tmp_path, capsys, line):
     scans = _tiny_scans(tmp_path)
@@ -388,10 +421,10 @@ def test_predictions_round_trip(tmp_path):
     fp_scores = node_scores[assignment.cluster_of]
     fp_labels = [INDOOR if s >= 0.5 else OUTDOOR for s in fp_scores]
     pred = Prediction(node_scores, ["outdoor", "indoor", "outdoor"],
-                      fp_scores, fp_labels, 0.5)
+                      fp_scores, fp_labels)
     path = tmp_path / "p.jsonl"
     _write_predictions(path, pred, assignment)
-    back = _read_predictions(path, 0.5, 5)
+    back = _read_predictions(path, 5)
     assert np.array_equal(back.fp_scores, pred.fp_scores)
     assert back.fp_labels == pred.fp_labels
     assert np.array_equal(back.node_scores, pred.node_scores)
@@ -399,7 +432,7 @@ def test_predictions_round_trip(tmp_path):
     # rows may come in any order
     lines = path.read_text().splitlines()
     path.write_text("\n".join(reversed(lines)) + "\n")
-    assert np.array_equal(_read_predictions(path, 0.5, 5).fp_scores, pred.fp_scores)
+    assert np.array_equal(_read_predictions(path, 5).fp_scores, pred.fp_scores)
 
 
 GOOD_ROWS = [{"seq": i, "node": i, "score": 0.75, "label": "indoor"} for i in range(3)]
@@ -431,7 +464,7 @@ def test_read_predictions_rejects(tmp_path, text):
     lines = [json.dumps(r) for r in GOOD_ROWS] + [text]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(FormatError):
-        _read_predictions(path, 0.5, 4)
+        _read_predictions(path, 4)
 
 
 @pytest.mark.parametrize("command", ["eval", "latency"])
@@ -497,7 +530,7 @@ def test_read_predictions_rejects_disagreeing_rows_of_one_node(tmp_path, rows):
         json.dumps({"seq": i, "node": node, "score": score, "label": label}) + "\n"
         for i, (node, score, label) in enumerate(rows)), encoding="utf-8")
     with pytest.raises(FormatError, match="node 0"):
-        _read_predictions(path, 0.5, 3)
+        _read_predictions(path, 3)
 
 
 def test_self_loop_model_makes_predict_exit_one(tmp_path, worlds, capsys):
@@ -685,4 +718,18 @@ def test_train_rejects_feature_csv_without_feature_columns(tmp_path, capsys, lea
                  "--learner", learner]) == 1
     err = capsys.readouterr().err
     assert "error: feature CSV has no feature column" in err and "Traceback" not in err
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("learner", ["rf", "gbm"])
+def test_train_rejects_feature_weight_beyond_int64(tmp_path, capsys, learner):
+    # a float weight of 1e400 would overflow inside the learner
+    features = tmp_path / "big.features.csv"
+    features.write_text("x,weight,label\n0.5,1" + "0" * 400 + ",indoor\n"
+                        "0.1,2,outdoor\n", encoding="utf-8")
+    model = tmp_path / "model.json"
+    assert main(["train", "--features", str(features), "--out", str(model),
+                 "--learner", learner]) == 1
+    err = capsys.readouterr().err
+    assert "error: feature CSV weights must be integers" in err and "Traceback" not in err
     assert not model.exists()

@@ -1,4 +1,4 @@
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import pytest
 
@@ -9,6 +9,8 @@ from wifi_inout.config import (
     parse_fields,
 )
 from wifi_inout.errors import ConfigError
+from wifi_inout.features import BASELINE_RANGES, DEFAULT_RANGES
+from wifi_inout.learner import GBM_DEFAULTS, RF_DEFAULTS
 from wifi_inout.synth import WorldSpec, worldspec_from_file
 
 
@@ -91,3 +93,15 @@ def test_validate_range_checks(key, bad, ok):
     with pytest.raises(ConfigError, match=key):
         config_with_overrides(PipelineConfig(), {key: bad})
     config_with_overrides(PipelineConfig(), {key: ok})
+
+
+def test_learner_defaults_come_from_the_learner_tables():
+    assert PipelineConfig().hyperparameters() == RF_DEFAULTS
+    assert PipelineConfig(learner="gbm").hyperparameters() == GBM_DEFAULTS
+
+
+def test_hop_ranges_are_fixed_per_variant():
+    assert len(fields(PipelineConfig)) == 15
+    assert PipelineConfig().feature_ranges() == DEFAULT_RANGES
+    for variant in ("clusters", "fingerprints"):
+        assert PipelineConfig(variant=variant).feature_ranges() == BASELINE_RANGES

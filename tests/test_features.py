@@ -341,3 +341,17 @@ def test_features_csv_rejects_malformed(tmp_path):
     path.write_text("a,b\n1,2\n", encoding="utf-8")
     with pytest.raises(FormatError):
         read_features_csv(path)
+
+
+@pytest.mark.parametrize("weight, ok", [
+    ("1", True), (str(2**63 - 1), True), ("0", False), (str(2**63), False),
+    ("1" + "0" * 400, False),
+], ids=["1", "2**63-1", "0", "2**63", "10**400"])
+def test_features_csv_weights_are_int64_and_positive(tmp_path, weight, ok):
+    path = tmp_path / "w.csv"
+    path.write_text(f"x,weight,label\n0.5,{weight},indoor\n", encoding="utf-8")
+    if ok:
+        assert read_features_csv(path)[1] == [int(weight)]
+    else:
+        with pytest.raises(FormatError, match=r"\[1, 2\*\*63\)"):
+            read_features_csv(path)
