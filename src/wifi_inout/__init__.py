@@ -33,7 +33,6 @@ from .graph import Neighborhood, TransitionGraph, build_graph, neighborhood
 from .learner import (
     GBM,
     RANDOM_FOREST,
-    LabeledNode,
     Model,
     Prediction,
     label_nodes,
@@ -50,6 +49,7 @@ from .model import (
     ScanRecord,
     canonical_bssid,
     ingest,
+    label_codes,
     read_scan_log,
     rssi_to_power,
     write_scan_log,

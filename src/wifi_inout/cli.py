@@ -30,8 +30,8 @@ from .features import (
     write_features_csv,
 )
 from .graph import write_graph
-from .learner import LabeledNode, Model, Prediction, label_nodes
-from .model import INDOOR, OUTDOOR, ingest, read_scan_log, write_scan_log
+from .learner import Model, Prediction, label_nodes
+from .model import INDOOR, OUTDOOR, ingest, label_codes, read_scan_log, write_scan_log
 from .synth import WorldSpec, generate, worldspec_from_file
 
 
@@ -65,12 +65,10 @@ def _print_eval(report: evaluation.EvalReport) -> None:
 
 
 def _node_labels(assignment, m, cfg) -> list:
-    """Majority-vote label per node; None for a node left unlabeled."""
-    labeled, _ = label_nodes(assignment, m.labels, cfg.tie_rule)
-    node_labels: list = [None] * assignment.n_clusters
-    for ln in labeled:
-        node_labels[ln.node_id] = ln.label
-    return node_labels
+    """Majority-vote label per node, as the feature CSV spells it; None for
+    a node left unlabeled."""
+    codes = label_nodes(assignment, m.labels, cfg.tie_rule)
+    return [(None, OUTDOOR, INDOOR)[c + 1] for c in codes.tolist()]
 
 
 def _write_jsonl(path: Optional[str], records) -> None:
@@ -98,7 +96,7 @@ def cmd_synth(args) -> int:
 def cmd_ingest(args) -> int:
     m = _load_matrix(args.scans)
     empty = int(np.count_nonzero(m.k == 0))
-    labeled = sum(1 for lab in m.labels if lab in (INDOOR, OUTDOOR))
+    labeled = int(np.count_nonzero(label_codes(m.labels) >= 0))
     log(f"empty={empty} labeled={labeled}")
     if args.out:
         write_scan_log(m.to_records(), args.out)
@@ -169,11 +167,10 @@ def cmd_select_dims(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_config(args)
     table, weights, labels = read_features_csv(args.features)
-    nodes = [LabeledNode(i, lab, weights[i])
-             for i, lab in enumerate(labels) if lab is not None]
-    model = pipeline.train_model(table, nodes, cfg)
+    codes = label_codes(labels)
+    model = pipeline.train_model(table, codes, weights, cfg)
     model.save(args.out)
-    log(f"trained {model.kind} on {len(nodes)} nodes -> {args.out}")
+    log(f"trained {model.kind} on {np.count_nonzero(codes >= 0)} nodes -> {args.out}")
     return 0
 
 
@@ -284,17 +281,16 @@ def cmd_xval(args) -> int:
         print(f"{loc:<24} n={rep.n_evaluated:<7} acc={rep.accuracy:.4f} auc={auc_text}")
     mean_text = f"{report.mean_auc:.4f}" if report.mean_auc is not None else "n/a"
     print(f"mean auc: {mean_text}")
-    if report.pooled is not None:
-        pooled_auc = f"{report.pooled.auc:.4f}" if report.pooled.auc is not None else "n/a"
-        print(f"pooled:   n={report.pooled.n_evaluated} "
-              f"acc={report.pooled.accuracy:.4f} auc={pooled_auc}")
+    pooled_auc = f"{report.pooled.auc:.4f}" if report.pooled.auc is not None else "n/a"
+    print(f"pooled:   n={report.pooled.n_evaluated} "
+          f"acc={report.pooled.accuracy:.4f} auc={pooled_auc}")
     for loc, reason in report.skipped.items():
         log(f"skipped fold {loc}: {reason}")
     _write_jsonl(args.out, [
         *({"record": "fold", "location": loc, **dataclasses.asdict(rep)}
           for loc, rep in report.per_location.items()),
         {"record": "summary", "mean_auc": report.mean_auc,
-         "pooled": dataclasses.asdict(report.pooled) if report.pooled else None,
+         "pooled": dataclasses.asdict(report.pooled),
          "skipped": report.skipped},
     ])
     return 0
@@ -445,10 +441,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except WifiInoutError as e:
-        log(f"error: {e}")
-        return 1
-    except OSError as e:
+    except (WifiInoutError, OSError, UnicodeDecodeError) as e:  # input files are UTF-8
         log(f"error: {e}")
         return 1
 

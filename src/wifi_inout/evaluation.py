@@ -3,9 +3,11 @@ cross-validation, and per-minute warm-up reports.
 
 Indoor is the positive class throughout. Metrics are computed per
 fingerprint (node scores are broadcast first), and only fingerprints
-carrying a ground-truth label count; `evaluate` and the warm-up count
-them with one helper, `_confusion`. Fingerprints between a ground-truth
-switch and its detection still count as errors.
+carrying a ground-truth label count. Labels, true and predicted, are
+read as `label_codes` codes (1 indoor, 0 outdoor, -1 none); `evaluate`,
+the pooled cross-validation report and the warm-up count them with one
+helper, `_confusion`. Fingerprints between a ground-truth switch and its
+detection still count as errors.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .errors import (
     SingleLocationError,
 )
 from .learner import Model, Prediction, label_nodes, predict
-from .model import INDOOR, OUTDOOR, FingerprintMatrix
+from .model import INDOOR, FingerprintMatrix, label_codes
 
 MISSED_LATENCY_S = 500.0  # a switch detected later than this counts as missed
 
@@ -68,17 +70,12 @@ class EvalReport:
     n_evaluated: int
 
 
-def _truth_codes(labels: Sequence[Optional[str]]) -> np.ndarray:
-    """Per fingerprint, 1 if labelled indoor, 0 if outdoor, -1 if unlabelled."""
-    labels = np.asarray(labels, dtype=object)
-    return np.where(labels == INDOOR, 1, np.where(labels == OUTDOOR, 0, -1))
-
-
 def _confusion(
     truth: np.ndarray, pred_in: np.ndarray, group: np.ndarray, n_groups: int
 ) -> List[Tuple[int, int, int, int]]:
     """Per group, (tp, fn, fp, tn) over the labelled fingerprints, from
-    `_truth_codes`, the predicted-indoor mask and each fingerprint's group."""
+    their label codes, the predicted-indoor mask and each fingerprint's
+    group."""
     labelled = truth >= 0
     code = 4 * group[labelled] + 2 * (truth[labelled] == 0) + ~pred_in[labelled]
     counts = np.bincount(code, minlength=4 * n_groups).reshape(n_groups, 4)
@@ -88,8 +85,12 @@ def _confusion(
 def evaluate(pred: Prediction, labels: Sequence[Optional[str]]) -> EvalReport:
     """Metrics over labeled fingerprints; AUC omitted when only one class
     is present."""
-    truth = _truth_codes(labels)
-    pred_in = np.asarray(pred.fp_labels, dtype=object) == INDOOR
+    return _report(label_codes(labels), pred.fp_scores, label_codes(pred.fp_labels) == 1)
+
+
+def _report(truth: np.ndarray, scores: np.ndarray, pred_in: np.ndarray) -> EvalReport:
+    """`evaluate`'s metrics from per-fingerprint label codes, scores and
+    predicted-indoor mask."""
     ((tp, fn, fp, tn),) = _confusion(truth, pred_in, np.zeros(len(truth), np.int64), 1)
     n = tp + fn + fp + tn
     if not n:
@@ -97,8 +98,7 @@ def evaluate(pred: Prediction, labels: Sequence[Optional[str]]) -> EvalReport:
     labelled = truth >= 0
     try:
         auc_value: Optional[float] = _auc(
-            np.asarray(pred.fp_scores, dtype=np.float64)[labelled],
-            truth[labelled] == 1)
+            np.asarray(scores, dtype=np.float64)[labelled], truth[labelled] == 1)
     except DegenerateLabelsError:
         auc_value = None
     return EvalReport(
@@ -139,31 +139,33 @@ def switch_latency(
     A switch happens at the first labeled fingerprint carrying the new
     label; its latency is the time until the first fingerprint (that one
     included) whose hard prediction matches. Beyond 500 s, or if the
-    stream ends first, the switch counts as missed.
+    stream ends first, the switch counts as missed. Latencies subtract
+    the given stamps themselves, so Python ints never overflow.
     """
-    labeled = [i for i, lab in enumerate(labels) if lab in (INDOOR, OUTDOOR)]
+    truth = label_codes(labels)
+    labeled = np.flatnonzero(truth >= 0)
+    switch_at = labeled[1:][truth[labeled[1:]] != truth[labeled[:-1]]]
+    if not len(switch_at):
+        raise NoTransitionsError("label stream contains no transitions")
+    # per class, the first fingerprint at or after each one predicted in it
+    # (T if none is)
+    T = len(truth)
+    hard = label_codes(pred.fp_labels)
+    first = [np.minimum.accumulate(np.where(hard == c, np.arange(T), T)[::-1])[::-1]
+             for c in (0, 1)]
     switches: List[SwitchRecord] = []
-    for a, b in zip(labeled, labeled[1:]):
-        if labels[a] == labels[b]:
-            continue
-        new = labels[b]
-        t0 = timestamps_ms[b]
-        latency = None
-        for i in range(b, len(labels)):
-            if pred.fp_labels[i] == new:
-                latency = (timestamps_ms[i] - t0) / 1000.0
-                break
-        missed = latency is None or latency > MISSED_LATENCY_S
+    for b in switch_at.tolist():
+        new = int(truth[b])
+        i = int(first[new][b])
+        latency = (timestamps_ms[i] - timestamps_ms[b]) / 1000.0 if i < T else None
         switches.append(
             SwitchRecord(
                 index=b,
-                direction=TO_INDOOR if new == INDOOR else TO_OUTDOOR,
+                direction=TO_INDOOR if new == 1 else TO_OUTDOOR,
                 latency_s=latency,
-                missed=missed,
+                missed=latency is None or latency > MISSED_LATENCY_S,
             )
         )
-    if not switches:
-        raise NoTransitionsError("label stream contains no transitions")
 
     means: Dict[str, Optional[float]] = {}
     for direction in (TO_INDOOR, TO_OUTDOOR):
@@ -180,7 +182,7 @@ class XvalReport:
     mean_auc: Optional[float]
     # all held-out predictions pooled into one report; single-class
     # locations leave per-fold AUC undefined, the pooled one is not
-    pooled: Optional[EvalReport] = None
+    pooled: EvalReport
     # folds whose removal left a single training class, with the reason
     skipped: Dict[str, str] = field(default_factory=dict)
 
@@ -190,7 +192,8 @@ def location_cross_validation(m: FingerprintMatrix, config) -> XvalReport:
 
     The clustering, graph, and features span the full stream; the
     held-out location only withholds its labels from node voting and
-    model training, then gets scored and evaluated.
+    model training, then gets scored and evaluated. The pooled report
+    scores each held-out fingerprint with its own fold's model.
     """
     from .pipeline import build_stages, train_model  # imported here to avoid a cycle
 
@@ -200,49 +203,37 @@ def location_cross_validation(m: FingerprintMatrix, config) -> XvalReport:
             f"cross-validation needs >= 2 locations, found {len(locations)}"
         )
     stages = build_stages(m, config)
+    sizes = stages.assignment.sizes()
+    labels = np.asarray(m.labels, dtype=object)
+    codes = label_codes(labels)
+    at = np.asarray(m.locations, dtype=object)
     per_location: Dict[str, EvalReport] = {}
     aucs = []
-    pooled_scores: List[float] = []
-    pooled_hard: List[str] = []
-    pooled_truth: List[Optional[str]] = []
     skipped: Dict[str, str] = {}
+    pooled_truth = np.full(m.T, -1, np.int8)  # held-out labels of the folds run
+    pooled_scores = np.zeros(m.T)
     for loc in locations:
-        train_labels = [
-            lab if m.locations[i] != loc else None
-            for i, lab in enumerate(m.labels)
-        ]
-        labeled, _ = label_nodes(stages.assignment, train_labels, config.tie_rule)
+        held = at == loc
+        node_labels = label_nodes(stages.assignment, np.where(held, None, labels),
+                                  config.tie_rule)
         try:
-            model = train_model(stages.features, labeled, config)
+            model = train_model(stages.features, node_labels, sizes, config)
         except DegenerateLabelsError as e:
             skipped[loc] = str(e)  # this fold held the only examples of a class
             continue
         pred = predict(model, stages.features, stages.assignment, config.threshold)
-        held_labels = [
-            lab if m.locations[i] == loc else None
-            for i, lab in enumerate(m.labels)
-        ]
-        report = evaluate(pred, held_labels)
+        report = evaluate(pred, np.where(held, labels, None))
         per_location[loc] = report
         if report.auc is not None:
             aucs.append(report.auc)
-        for i, lab in enumerate(held_labels):
-            if lab in (INDOOR, OUTDOOR):
-                pooled_scores.append(float(pred.fp_scores[i]))
-                pooled_hard.append(pred.fp_labels[i])
-                pooled_truth.append(lab)
+        pooled_truth[held] = codes[held]
+        pooled_scores[held] = pred.fp_scores[held]
     if not per_location:
         raise DegenerateLabelsError(
             "every fold left a single class in training; streams too short"
         )
     mean_auc = sum(aucs) / len(aucs) if aucs else None
-    pooled_pred = Prediction(
-        node_scores=np.asarray(pooled_scores),
-        node_labels=pooled_hard,
-        fp_scores=np.asarray(pooled_scores),
-        fp_labels=pooled_hard,
-    )
-    pooled = evaluate(pooled_pred, pooled_truth) if pooled_truth else None
+    pooled = _report(pooled_truth, pooled_scores, pooled_scores >= config.threshold)
     return XvalReport(per_location, mean_auc, pooled, skipped)
 
 
@@ -288,12 +279,13 @@ def warmup_eval(
     ends = [bisect_left(m.timestamps_ms, t0 + minute * 60000)
             for minute in range(1, min(minutes, last_minute) + 1)]
     entries: List[WarmupEntry] = []
+    truth = label_codes(m.labels)
     for chunk in prefix_stages(m, config, ends):
         stages = chunk.stages
         pred = predict(model, stages.features, stages.assignment, config.threshold)
-        truth = _truth_codes(m.labels[:chunk.ends[-1]])[chunk.scan]
         group = np.repeat(np.arange(len(chunk.ends)), chunk.ends)
-        counts = _confusion(truth, pred.fp_scores >= config.threshold, group, len(chunk.ends))
+        counts = _confusion(truth[chunk.scan], pred.fp_scores >= config.threshold, group,
+                            len(chunk.ends))
         for tp, fn, fp, tn in counts:
             n = tp + fn + fp + tn
             if not n:

@@ -30,7 +30,7 @@ from .errors import (
     ConfigError, DegenerateLabelsError, FormatError, RankDeficiencyError, first_non_int64,
 )
 from .graph import TransitionGraph, bfs_layers
-from .model import INDOOR, OUTDOOR, FingerprintMatrix
+from .model import INDOOR, OUTDOOR, FingerprintMatrix, label_codes
 
 # dBm assigned when a neighborhood pool contains no readings at all;
 # weaker than any realistic reading so tree learners can still split on it
@@ -140,7 +140,8 @@ def neighborhood_features(
         power = np.divide(dbm, readings, out=np.full_like(dbm, SENTINEL_DBM),
                           where=readings > 0)
         values = np.stack([count, power, readings / size, size / count])
-        rows[lo:lo + _SOURCE_BLOCK] = values[fam, hop].T
+        # hops past the block's last layer repeat its totals
+        rows[lo:lo + _SOURCE_BLOCK] = values[fam, np.minimum(hop, len(layers) - 1)].T
     return FeatureTable(names=ranges.names(), rows=rows)
 
 
@@ -203,8 +204,9 @@ def select_neighborhood_sizes(
     """
     if len(labels) != table.n_nodes:
         raise FormatError("one label slot per node required")
-    keep_rows = [i for i, lab in enumerate(labels) if lab in (INDOOR, OUTDOOR)]
-    y = np.array([1.0 if labels[i] == INDOOR else 0.0 for i in keep_rows])
+    codes = label_codes(labels)
+    keep_rows = np.flatnonzero(codes >= 0)
+    y = codes[keep_rows].astype(np.float64)
     if len(set(y.tolist())) < 2:
         raise DegenerateLabelsError("selection regression needs both classes")
     X = table.rows[keep_rows]

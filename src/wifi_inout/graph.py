@@ -107,8 +107,10 @@ def transition_graph(cluster_of: np.ndarray, n_nodes: int, joins: np.ndarray) ->
 
 
 def bfs_layers(g: TransitionGraph, sources: Sequence[int], max_d: int) -> List[csr_array]:
-    """Frontier matrices F_0..F_max_d of a BFS from every source at once:
-    row i of F_d marks the nodes exactly d hops from sources[i].
+    """Frontier matrices F_0..F_D of a BFS from every source at once: row
+    i of F_d marks the nodes exactly d hops from sources[i]. The walk
+    stops at max_d or when every frontier is empty, so D <= max_d and
+    every F_d past F_D is empty.
 
     F_0 = I[sources] and F_d = (F_{d-1} A) > F_{d-1} + F_{d-2}: on an
     undirected graph the neighbours of layer d-1 lie in layers d-2, d-1
@@ -117,7 +119,10 @@ def bfs_layers(g: TransitionGraph, sources: Sequence[int], max_d: int) -> List[c
     before = csr_array(layers[0].shape, dtype=bool)  # F_{-1}
     for _ in range(max_d):
         frontier = layers[-1]
-        layers.append((frontier @ g.A) > frontier + before)
+        reached = (frontier @ g.A) > frontier + before
+        if not reached.nnz:
+            break
+        layers.append(reached)
         before = frontier
     return layers
 

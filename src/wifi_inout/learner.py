@@ -1,6 +1,8 @@
 """Weighted tree-ensemble classifiers over node feature vectors.
 
-Nodes are training instances; a node's weight is its fingerprint count.
+Nodes are training instances; a node's label is the `label_codes` code
+of its members' majority vote (`label_nodes`), -1 leaving it out of
+training, and its weight is its fingerprint count.
 Random forest draws bootstrap samples proportional to weight and votes
 across 100 unpruned trees; the gradient boosting machine runs 100 rounds
 of depth-3 logistic-loss fits with weighted statistics. Scores are
@@ -14,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -27,7 +29,7 @@ from .errors import (
     require_int64,
 )
 from .features import FeatureTable
-from .model import INDOOR, OUTDOOR
+from .model import INDOOR, OUTDOOR, label_codes
 from .trees import Ensemble, Tree, grow_tree
 
 RANDOM_FOREST = "random_forest"
@@ -45,46 +47,29 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(z, -60.0, 60.0)))
 
 
-@dataclass(frozen=True)
-class LabeledNode:
-    node_id: int
-    label: str                # "indoor" | "outdoor"
-    weight: int               # cluster fingerprint count
-    votes_indoor: int = 0
-    votes_outdoor: int = 0
-
-
 def label_nodes(
     assignment: ClusterAssignment,
     labels: Sequence[Optional[str]],
     tie_rule: str = "indoor",
-) -> Tuple[List[LabeledNode], List[int]]:
-    """Majority vote among each node's labeled member fingerprints.
+) -> np.ndarray:
+    """Per node, the majority label of its labelled member fingerprints,
+    as a `label_codes` code: -1 for a node with no labelled member.
 
     Ties go to indoor (the dominant class in the wild) unless
-    tie_rule="drop" excludes the node. Nodes with no labeled member are
-    returned in the second list; they still get scored at prediction
-    time.
+    tie_rule="drop" leaves the node at -1. Unlabelled nodes are still
+    scored at prediction time.
     """
     if tie_rule not in TIE_RULES:
         raise FormatError(f"tie_rule must be 'indoor' or 'drop', got {tie_rule!r}")
-    labels = np.asarray(labels, dtype=object)
-    votes = [np.bincount(assignment.cluster_of, labels == lab, assignment.n_clusters)
-             .astype(int).tolist() for lab in (INDOOR, OUTDOOR)]
-    labeled: List[LabeledNode] = []
-    unlabeled: List[int] = []
-    for node_id, (n_in, n_out, size) in enumerate(zip(*votes, assignment.sizes().tolist())):
-        if n_in == 0 and n_out == 0:
-            unlabeled.append(node_id)
-            continue
-        if n_in == n_out and tie_rule == "drop":
-            unlabeled.append(node_id)
-            continue
-        lab = INDOOR if n_in >= n_out else OUTDOOR
-        labeled.append(
-            LabeledNode(node_id, lab, weight=size, votes_indoor=n_in, votes_outdoor=n_out)
-        )
-    return labeled, unlabeled
+    codes = label_codes(labels)
+    n_in, n_out = (np.bincount(assignment.cluster_of, codes == c, assignment.n_clusters)
+                   for c in (1, 0))
+    nodes = (n_in >= n_out).astype(np.int8)
+    unlabelled = n_in + n_out == 0
+    if tie_rule == "drop":
+        unlabelled |= n_in == n_out
+    nodes[unlabelled] = -1
+    return nodes
 
 
 @dataclass
@@ -260,17 +245,18 @@ def train_arrays(
 
 def train(
     features: FeatureTable,
-    nodes: Sequence[LabeledNode],
+    labels: np.ndarray,
+    weights: Sequence[int],
     kind: str = RANDOM_FOREST,
     seed: int = 0,
     hyperparameters: Optional[Dict] = None,
 ) -> Model:
-    """Fit on labeled nodes; weights are the nodes' fingerprint counts."""
-    ids = [n.node_id for n in nodes]
-    X = features.rows[ids]
-    y = np.array([1.0 if n.label == INDOOR else 0.0 for n in nodes])
-    w = np.array([float(n.weight) for n in nodes])
-    return train_arrays(X, y, w, features.names, kind, seed, hyperparameters)
+    """Fit on the nodes whose label code (`label_nodes`) is >= 0, each
+    weighted by its weight, the node's fingerprint count."""
+    labels = np.asarray(labels)
+    keep = labels >= 0
+    return train_arrays(features.rows[keep], labels[keep], np.asarray(weights)[keep],
+                        features.names, kind, seed, hyperparameters)
 
 
 @dataclass

@@ -40,9 +40,15 @@ from .errors import (
 
 INDOOR = "indoor"
 OUTDOOR = "outdoor"
-LABELS = (INDOOR, OUTDOOR)
 
 _BSSID_RE = re.compile(r"^([0-9a-f]{2}:){5}[0-9a-f]{2}$")
+
+
+def label_codes(labels: Sequence[Optional[str]]) -> np.ndarray:
+    """The labels as int8 codes: 1 for indoor, 0 for outdoor, -1 for none.
+    Every layer past the file formats reads labels in this form."""
+    labels = np.asarray(labels, dtype=object)
+    return np.select([labels == INDOOR, labels == OUTDOOR], [1, 0], -1).astype(np.int8)
 
 
 def canonical_bssid(raw: str) -> str:

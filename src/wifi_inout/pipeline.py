@@ -33,7 +33,7 @@ from .evaluation import EvalReport, evaluate
 from .features import FeatureTable, extract_features, neighborhood_features, node_totals
 from .fpindex import build_index
 from .graph import TransitionGraph, build_graph, scan_joins, transition_graph
-from .learner import LabeledNode, Model, Prediction, label_nodes, predict, train
+from .learner import Model, Prediction, label_nodes, predict, train
 from .model import FingerprintMatrix
 
 # stacked scans per chunk in prefix_stages; bounds a chunk's graph, BFS
@@ -57,10 +57,11 @@ def partition(m: FingerprintMatrix, config: PipelineConfig) -> ClusterAssignment
 
 
 def train_model(
-    features: FeatureTable, labeled: List[LabeledNode], config: PipelineConfig
+    features: FeatureTable, labels: np.ndarray, weights: Sequence[int], config: PipelineConfig
 ) -> Model:
-    """Train the configured learner with its hyperparameters and seed."""
-    return train(features, labeled, kind=config.learner_kind(), seed=config.seed,
+    """Train the configured learner, with its hyperparameters and seed, on
+    the nodes' label codes and weights (`learner.train`)."""
+    return train(features, labels, weights, kind=config.learner_kind(), seed=config.seed,
                  hyperparameters=config.hyperparameters())
 
 
@@ -151,8 +152,8 @@ def _stack(
 def fit(m: FingerprintMatrix, config: PipelineConfig) -> Tuple[Model, Stages]:
     """Cluster, label nodes by majority vote, and train the ensemble."""
     stages = build_stages(m, config)
-    labeled, _ = label_nodes(stages.assignment, m.labels, config.tie_rule)
-    return train_model(stages.features, labeled, config), stages
+    labels = label_nodes(stages.assignment, m.labels, config.tie_rule)
+    return train_model(stages.features, labels, stages.assignment.sizes(), config), stages
 
 
 def score(

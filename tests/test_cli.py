@@ -1,13 +1,20 @@
+import contextlib
+import io
 import json
+from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wifi_inout.cli import _read_predictions, _write_predictions, main
 from wifi_inout.clustering import ClusterAssignment
 from wifi_inout.errors import FormatError
 from wifi_inout.learner import Prediction
-from wifi_inout.model import INDOOR, OUTDOOR, read_scan_log
+from wifi_inout.model import INDOOR, OUTDOOR, read_scan_log, write_scan_log
+
+from conftest import mac, make_records
 
 WORLD_A = (
     "seed = 1\n"
@@ -733,3 +740,130 @@ def test_train_rejects_feature_weight_beyond_int64(tmp_path, capsys, learner):
     err = capsys.readouterr().err
     assert "error: feature CSV weights must be integers" in err and "Traceback" not in err
     assert not model.exists()
+
+
+# --- a byte that is not UTF-8, in every input format ------------------------
+
+@pytest.fixture(scope="module")
+def every_format(tmp_path_factory):
+    """One small valid file of each input format the CLI reads."""
+    root = tmp_path_factory.mktemp("every_format")
+    files = {"world spec": root / "a.cfg", "config": root / "run.cfg",
+             "scan log": root / "a.scans", "assignment": root / "a.clusters.jsonl",
+             "features CSV": root / "a.features.csv", "model JSON": root / "model.json",
+             "predictions JSONL": root / "a.preds.jsonl"}
+    files["world spec"].write_text(WORLD_A, encoding="utf-8")
+    files["config"].write_text("learner = gbm\ngbm_rounds = 5\n", encoding="utf-8")
+    cfg = ["--config", str(files["config"])]
+    scans = str(files["scan log"])
+    for argv in (
+        ["synth", "--spec", str(files["world spec"]), "--out", scans],
+        ["cluster", "--scans", scans, "--out", str(files["assignment"]), *cfg],
+        ["features", "--scans", scans, "--clusters", str(files["assignment"]),
+         "--out", str(files["features CSV"]), *cfg],
+        ["train", "--features", str(files["features CSV"]), "--out", str(files["model JSON"]),
+         *cfg],
+        ["predict", "--model", str(files["model JSON"]), "--scans", scans,
+         "--out", str(files["predictions JSONL"]), *cfg],
+    ):
+        assert main(argv) == 0
+    return files
+
+
+def _reading(fmt, files, bad, out):
+    """A command that reads `bad` as a file of format `fmt`."""
+    scans = str(files["scan log"])
+    return {
+        "scan log": ["ingest", "--scans", bad],
+        "assignment": ["graph", "--scans", scans, "--clusters", bad, "--out", f"{out}/g"],
+        "features CSV": ["train", "--features", bad, "--out", f"{out}/m.json"],
+        "model JSON": ["predict", "--model", bad, "--scans", scans, "--out", f"{out}/p"],
+        "predictions JSONL": ["eval", "--preds", bad, "--scans", scans],
+        "config": ["cluster", "--scans", scans, "--config", bad, "--out", f"{out}/c"],
+        "world spec": ["synth", "--spec", bad, "--out", f"{out}/s.scans"],
+    }[fmt]
+
+
+@pytest.mark.parametrize("fmt", ["scan log", "assignment", "features CSV", "model JSON",
+                                 "predictions JSONL", "config", "world spec"])
+def test_non_utf8_byte_exits_one(tmp_path, capsys, every_format, fmt):
+    data = every_format[fmt].read_bytes()
+    bad = tmp_path / "bad"
+    bad.write_bytes(data[:len(data) // 2] + b"\xff" + data[len(data) // 2:])
+    capsys.readouterr()
+    assert main(_reading(fmt, every_format, str(bad), tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
+# --- fuzz: mutated features CSVs and predictions files -----------------------
+
+_SMALL_FEATURES = (
+    b"neighbors_d0,power_d0,weight,label\n"
+    b"1.0,-60.5,3,indoor\n1.0,-71.0,1,outdoor\n2.0,-58.0,2,indoor\n"
+    b"1.0,-80.25,4,outdoor\n3.0,-62.0,1,\n1.0,-77.0,2,outdoor\n"
+)
+
+# byte edits: (kind, position, xor mask); positions wrap around the data
+_edits = st.lists(st.tuples(st.sampled_from(["flip", "truncate", "nul", "ff", "dup"]),
+                            st.integers(0, 2**16), st.integers(1, 255)),
+                  min_size=1, max_size=3)
+
+
+def _mutate(data: bytes, edits) -> bytes:
+    for kind, at, mask in edits:
+        i = at % (len(data) + 1)
+        if kind == "flip" and data:
+            i = at % len(data)
+            data = data[:i] + bytes([data[i] ^ mask]) + data[i + 1:]
+        elif kind == "truncate":
+            data = data[:i]
+        elif kind in ("nul", "ff"):
+            data = data[:i] + (b"\x00" if kind == "nul" else b"\xff") + data[i:]
+        elif kind == "dup" and data:
+            lines = data.splitlines(keepends=True)
+            k = at % len(lines)
+            data = b"".join(lines[:k + 1] + lines[k:])
+    return data
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A small labelled scan log, its predictions, and a 5-tree config."""
+    root = tmp_path_factory.mktemp("fuzz")
+    labels = [INDOOR, INDOOR, OUTDOOR, None, OUTDOOR, INDOOR]
+    write_scan_log(make_records([{mac(i): -50 - i} for i in range(6)], labels),
+                   root / "s.scans")
+    (root / "s.preds").write_bytes(b"".join(
+        b'{"seq": %d, "node": %d, "score": %s, "label": "%s"}\n'
+        % (i, i, b"0.75" if i % 2 else b"0.25", b"indoor" if i % 2 else b"outdoor")
+        for i in range(6)))
+    (root / "small.cfg").write_text("n_trees = 5\n", encoding="utf-8")
+    return root
+
+
+def _exits_zero_or_one_with_error_line(argv) -> bool:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        status = main(argv)
+    lines = err.getvalue().splitlines()
+    return status == 0 or (status == 1 and any(line.startswith("error:") for line in lines))
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=5))
+@given(edits=_edits)
+def test_mutated_features_csv_trains_or_exits_one(fuzz_dir, edits):
+    features = fuzz_dir / "f.csv"
+    features.write_bytes(_mutate(_SMALL_FEATURES, edits))
+    assert _exits_zero_or_one_with_error_line(
+        ["train", "--features", str(features), "--out", str(fuzz_dir / "m.json"),
+         "--config", str(fuzz_dir / "small.cfg")])
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=5))
+@given(edits=_edits)
+def test_mutated_predictions_evaluate_or_exit_one(fuzz_dir, edits):
+    preds = fuzz_dir / "p.jsonl"
+    preds.write_bytes(_mutate((fuzz_dir / "s.preds").read_bytes(), edits))
+    assert _exits_zero_or_one_with_error_line(
+        ["eval", "--preds", str(preds), "--scans", str(fuzz_dir / "s.scans")])

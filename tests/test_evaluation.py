@@ -19,9 +19,13 @@ from wifi_inout.errors import (
     SingleLocationError,
 )
 from wifi_inout.evaluation import (
+    MISSED_LATENCY_S,
     TO_INDOOR,
     TO_OUTDOOR,
+    SwitchLatencyReport,
+    SwitchRecord,
     WarmupEntry,
+    XvalReport,
     auc,
     evaluate,
     location_cross_validation,
@@ -30,7 +34,7 @@ from wifi_inout.evaluation import (
 )
 from wifi_inout.features import FeatureTable
 from wifi_inout.graph import TransitionGraph
-from wifi_inout.learner import Prediction, label_nodes, train
+from wifi_inout.learner import Prediction, label_nodes, predict, train
 from wifi_inout.model import INDOOR, OUTDOOR, FingerprintMatrix, ingest
 from wifi_inout.pipeline import build_stages, fit, prefix_stages, score
 from wifi_inout.synth import WorldSpec, generate
@@ -182,6 +186,65 @@ def test_switch_latency_requires_transitions():
         switch_latency(_pred([INDOOR] * 3), [INDOOR] * 3, ts)
 
 
+def reference_switch_latency(pred, labels, timestamps_ms):
+    """The per-switch rescan of the stream that switch_latency replaced,
+    kept verbatim as its reference."""
+    labeled = [i for i, lab in enumerate(labels) if lab in (INDOOR, OUTDOOR)]
+    switches = []
+    for a, b in zip(labeled, labeled[1:]):
+        if labels[a] == labels[b]:
+            continue
+        new = labels[b]
+        t0 = timestamps_ms[b]
+        latency = None
+        for i in range(b, len(labels)):
+            if pred.fp_labels[i] == new:
+                latency = (timestamps_ms[i] - t0) / 1000.0
+                break
+        missed = latency is None or latency > MISSED_LATENCY_S
+        switches.append(
+            SwitchRecord(
+                index=b,
+                direction=TO_INDOOR if new == INDOOR else TO_OUTDOOR,
+                latency_s=latency,
+                missed=missed,
+            )
+        )
+    if not switches:
+        raise NoTransitionsError("label stream contains no transitions")
+
+    means = {}
+    for direction in (TO_INDOOR, TO_OUTDOOR):
+        vals = [s.latency_s for s in switches
+                if s.direction == direction and not s.missed]
+        means[direction] = sum(vals) / len(vals) if vals else None
+    missed_fraction = sum(1 for s in switches if s.missed) / len(switches)
+    return SwitchLatencyReport(switches, means, missed_fraction)
+
+
+# scan gaps in ms: equal stamps, gaps around the 500 s miss bound, and a
+# jump that puts two stamps more than 2**63 ms apart
+_gaps = st.one_of(st.just(0), st.integers(1, 600_000), st.just(2**63 + 7))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([INDOOR, OUTDOOR, None]),
+                          st.sampled_from([INDOOR, OUTDOOR]), _gaps),
+                min_size=1, max_size=60),
+       st.integers(-2**63, 2**63))
+def test_switch_latency_equals_per_switch_rescan(stream, t0):
+    labels, pred_labels, gaps = (list(c) for c in zip(*stream))
+    ts = [t0 + sum(gaps[:i + 1]) for i in range(len(gaps))]
+    pred = _pred(pred_labels)
+    try:
+        want = reference_switch_latency(pred, labels, ts)
+    except NoTransitionsError:
+        with pytest.raises(NoTransitionsError):
+            switch_latency(pred, labels, ts)
+        return
+    assert switch_latency(pred, labels, ts) == want
+
+
 def _xval_world(seed=5):
     spec = WorldSpec(seed=seed, duration_s=2400.0, buildings=3,
                      indoor_dwell_min_s=180.0, indoor_dwell_max_s=300.0,
@@ -239,9 +302,10 @@ def test_xval_fold_matches_manual_fold():
     stages = build_stages(m, cfg)
     train_labels = [lab if m.locations[i] != loc else None
                     for i, lab in enumerate(m.labels)]
-    labeled, _ = label_nodes(stages.assignment, train_labels, cfg.tie_rule)
-    model = train(stages.features, labeled, kind=cfg.learner_kind(),
-                  seed=cfg.seed, hyperparameters=cfg.hyperparameters())
+    node_labels = label_nodes(stages.assignment, train_labels, cfg.tie_rule)
+    model = train(stages.features, node_labels, stages.assignment.sizes(),
+                  kind=cfg.learner_kind(), seed=cfg.seed,
+                  hyperparameters=cfg.hyperparameters())
     pred = predict_nodes(model, stages.features, stages.assignment, cfg.threshold)
     held = [lab if m.locations[i] == loc else None
             for i, lab in enumerate(m.labels)]
@@ -258,9 +322,10 @@ def test_xval_heldout_labels_cannot_poison_training():
         stages = build_stages(matrix, cfg)
         train_labels = [lab if matrix.locations[i] != loc else None
                         for i, lab in enumerate(matrix.labels)]
-        labeled, _ = label_nodes(stages.assignment, train_labels, cfg.tie_rule)
-        return train(stages.features, labeled, kind=cfg.learner_kind(),
-                     seed=cfg.seed, hyperparameters=cfg.hyperparameters())
+        node_labels = label_nodes(stages.assignment, train_labels, cfg.tie_rule)
+        return train(stages.features, node_labels, stages.assignment.sizes(),
+                     kind=cfg.learner_kind(), seed=cfg.seed,
+                     hyperparameters=cfg.hyperparameters())
 
     flipped = dataclasses.replace(m, labels=[
         (OUTDOOR if lab == INDOOR else INDOOR) if m.locations[i] == loc else lab
@@ -272,6 +337,62 @@ def test_xval_heldout_labels_cannot_poison_training():
     poisoned = location_cross_validation(flipped, cfg).per_location[loc]
     assert base.accuracy == pytest.approx(1.0 - poisoned.accuracy, abs=1e-12)
     assert base.accuracy != poisoned.accuracy
+
+
+def reference_xval(m, config):
+    """location_cross_validation with the held-out scans pooled into three
+    Python lists and a stand-in Prediction, as before the pooled report
+    came from one score vector; the pooling is kept verbatim."""
+    locations = sorted({loc for loc in m.locations if loc})
+    stages = build_stages(m, config)
+    per_location = {}
+    aucs = []
+    pooled_scores = []
+    pooled_hard = []
+    pooled_truth = []
+    skipped = {}
+    for loc in locations:
+        train_labels = [
+            lab if m.locations[i] != loc else None
+            for i, lab in enumerate(m.labels)
+        ]
+        node_labels = label_nodes(stages.assignment, train_labels, config.tie_rule)
+        try:
+            model = pipeline.train_model(stages.features, node_labels,
+                                         stages.assignment.sizes(), config)
+        except DegenerateLabelsError as e:
+            skipped[loc] = str(e)
+            continue
+        pred = predict(model, stages.features, stages.assignment, config.threshold)
+        held_labels = [
+            lab if m.locations[i] == loc else None
+            for i, lab in enumerate(m.labels)
+        ]
+        report = evaluate(pred, held_labels)
+        per_location[loc] = report
+        if report.auc is not None:
+            aucs.append(report.auc)
+        for i, lab in enumerate(held_labels):
+            if lab in (INDOOR, OUTDOOR):
+                pooled_scores.append(float(pred.fp_scores[i]))
+                pooled_hard.append(pred.fp_labels[i])
+                pooled_truth.append(lab)
+    mean_auc = sum(aucs) / len(aucs) if aucs else None
+    pooled_pred = Prediction(
+        node_scores=np.asarray(pooled_scores),
+        node_labels=pooled_hard,
+        fp_scores=np.asarray(pooled_scores),
+        fp_labels=pooled_hard,
+    )
+    pooled = evaluate(pooled_pred, pooled_truth) if pooled_truth else None
+    return XvalReport(per_location, mean_auc, pooled, skipped)
+
+
+@pytest.mark.parametrize("tagging", [lambda m: m, _trip_tagged], ids=["buildings", "trips"])
+def test_xval_equals_list_pooling(tagging):
+    m = tagging(_xval_world())
+    cfg = PipelineConfig(seed=3, n_trees=30)
+    assert location_cross_validation(m, cfg) == reference_xval(m, cfg)
 
 
 def test_xval_single_location():

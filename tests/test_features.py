@@ -135,11 +135,13 @@ def test_bfs_layers_equal_per_node_bfs_for_every_source(labels, max_d, rnd):
     g = build_graph(_assignment(cluster_of), _trivial_matrix(len(labels)))
     sources = rnd.sample(range(g.n_nodes), g.n_nodes)
     layers = bfs_layers(g, sources, max_d)
-    assert len(layers) == max_d + 1
-    for i, x in enumerate(sources):
-        want = reference_bfs_layers(g, x, max_d)
+    wants = [reference_bfs_layers(g, x, max_d) for x in sources]
+    # the walk stops at the last layer that any source still reaches
+    assert len(layers) == max(sum(1 for layer in want if layer) for want in wants)
+    for i, (x, want) in enumerate(zip(sources, wants)):
         want += [set()] * (max_d + 1 - len(want))  # the reference stops at an empty layer
-        assert [set(F[[i]].nonzero()[1].tolist()) for F in layers] == want
+        got = [set(F[[i]].nonzero()[1].tolist()) for F in layers]
+        assert got + [set()] * (max_d + 1 - len(got)) == want
         for d in range(max_d + 1):
             assert neighborhood(g, x, d).members == set().union(*want[:d + 1])
 
@@ -149,6 +151,31 @@ def test_feature_grid_rejects_negative_hop_bound():
     _, g = _pipeline(m)
     with pytest.raises(ConfigError):
         neighborhood_feature_grid(g, m, max_d=-1)
+
+
+def test_feature_grid_stops_walking_past_the_graph(monkeypatch):
+    # a path of five nodes, walked two sources at a time: the farthest node
+    # is 4 hops from source 0, 3 from sources 2 and 3, and 4 from source 4
+    m = make_matrix([{mac(i): -50 - i} for i in range(5)])
+    g = build_graph(_assignment([0, 1, 2, 3, 4]), m)
+    walked = []
+
+    def counting_bfs_layers(g, sources, max_d):
+        layers = bfs_layers(g, sources, max_d)
+        walked.append(len(layers))
+        return layers
+
+    monkeypatch.setattr(features, "bfs_layers", counting_bfs_layers)
+    monkeypatch.setattr(features, "_SOURCE_BLOCK", 2)
+    grid = neighborhood_feature_grid(g, m, max_d=1000)
+    assert walked == [5, 4, 5]
+    # the hop columns past the graph repeat the last totals bit for bit
+    reachable = neighborhood_feature_grid(g, m, max_d=4)
+    for family in features.FAMILIES:
+        for d in range(1001):
+            got = grid.rows[:, grid.names.index(f"{family}_d{d}")]
+            want = reachable.rows[:, reachable.names.index(f"{family}_d{min(d, 4)}")]
+            assert np.array_equal(got, want)
 
 
 def test_isolated_uniform_node():

@@ -16,14 +16,13 @@ from wifi_inout.features import FeatureTable
 from wifi_inout.learner import (
     GBM,
     RANDOM_FOREST,
-    LabeledNode,
     Model,
     label_nodes,
     predict,
     train,
     train_arrays,
 )
-from wifi_inout.model import INDOOR, OUTDOOR
+from wifi_inout.model import INDOOR, OUTDOOR, label_codes
 from wifi_inout.trees import Tree, grow_tree, split_gain
 from wifi_inout import learner
 from wifi_inout.evaluation import auc
@@ -41,61 +40,59 @@ def _assignment(members_per_cluster):
     return ClusterAssignment(cluster_of=cluster_of)
 
 
-def test_label_nodes_majority_and_weight():
+def test_label_nodes_majority_vote():
     assignment = _assignment([[0, 1, 2, 3]])
-    labeled, unlabeled = label_nodes(assignment, [INDOOR, INDOOR, OUTDOOR, None])
-    assert unlabeled == []
-    assert labeled[0].label == INDOOR
-    assert labeled[0].weight == 4
-    assert (labeled[0].votes_indoor, labeled[0].votes_outdoor) == (2, 1)
+    got = label_nodes(assignment, [INDOOR, INDOOR, OUTDOOR, None])
+    assert got.dtype == np.int8
+    assert got.tolist() == [1]
 
 
 def test_label_nodes_tie_breaks_indoor():
     assignment = _assignment([[0, 1]])
-    labeled, _ = label_nodes(assignment, [INDOOR, OUTDOOR])
-    assert labeled[0].label == INDOOR
+    assert label_nodes(assignment, [INDOOR, OUTDOOR]).tolist() == [1]
     # exhaustive two-member vote check
     for labs, want in [
-        ([INDOOR, INDOOR], INDOOR),
-        ([OUTDOOR, OUTDOOR], OUTDOOR),
-        ([INDOOR, OUTDOOR], INDOOR),
-        ([OUTDOOR, INDOOR], INDOOR),
-        ([INDOOR, None], INDOOR),
-        ([None, OUTDOOR], OUTDOOR),
+        ([INDOOR, INDOOR], 1),
+        ([OUTDOOR, OUTDOOR], 0),
+        ([INDOOR, OUTDOOR], 1),
+        ([OUTDOOR, INDOOR], 1),
+        ([INDOOR, None], 1),
+        ([None, OUTDOOR], 0),
+        ([None, None], -1),
     ]:
-        got, _ = label_nodes(assignment, labs)
-        assert got[0].label == want
+        assert label_nodes(assignment, labs).tolist() == [want]
 
 
 def test_label_nodes_drop_rule_and_unlabeled():
     assignment = _assignment([[0, 1], [2]])
-    labeled, unlabeled = label_nodes(
-        assignment, [INDOOR, OUTDOOR, None], tie_rule="drop")
-    assert labeled == []
-    assert unlabeled == [0, 1]
+    got = label_nodes(assignment, [INDOOR, OUTDOOR, None], tie_rule="drop")
+    assert got.tolist() == [-1, -1]
     with pytest.raises(FormatError):
         label_nodes(assignment, [INDOOR, OUTDOOR, None], tie_rule="coin")
 
 
+def test_label_codes():
+    got = label_codes([INDOOR, OUTDOOR, None, INDOOR])
+    assert got.dtype == np.int8
+    assert got.tolist() == [1, 0, -1, 1]
+    assert label_codes([]).tolist() == []
+
+
 def reference_label_nodes(assignment, labels, tie_rule="indoor"):
-    """The per-member loop that label_nodes replaced, kept as its reference."""
-    labeled = []
-    unlabeled = []
-    for node_id, members in enumerate(assignment.clusters):
+    """The per-member loop that label_nodes replaced, kept as its
+    reference: each node's majority code, -1 for a node left unlabeled."""
+    codes = []
+    for members in assignment.clusters:
         n_in = sum(1 for i in members if labels[i] == INDOOR)
         n_out = sum(1 for i in members if labels[i] == OUTDOOR)
         if n_in == 0 and n_out == 0:
-            unlabeled.append(node_id)
+            codes.append(-1)
             continue
         if n_in == n_out and tie_rule == "drop":
-            unlabeled.append(node_id)
+            codes.append(-1)
             continue
-        lab = INDOOR if n_in >= n_out else OUTDOOR
-        labeled.append(
-            LabeledNode(node_id, lab, weight=len(members),
-                        votes_indoor=n_in, votes_outdoor=n_out)
-        )
-    return labeled, unlabeled
+        codes.append(1 if n_in >= n_out else 0)
+    return codes
 
 
 @settings(max_examples=300, deadline=None)
@@ -106,9 +103,8 @@ def test_label_nodes_equals_per_member_loop(scans, tie_rule):
     cluster_of, labels = zip(*scans)
     assignment = ClusterAssignment(cluster_of=np.array(cluster_of, dtype=np.int64))
     got = label_nodes(assignment, list(labels), tie_rule)
-    assert got == reference_label_nodes(assignment, labels, tie_rule)
-    assert all(type(v) is int for node in got[0]
-               for v in (node.weight, node.votes_indoor, node.votes_outdoor))
+    assert got.dtype == np.int8
+    assert got.tolist() == reference_label_nodes(assignment, labels, tie_rule)
 
 
 def _separable(rng, n=200, p=2):
@@ -228,17 +224,19 @@ def test_train_errors():
 
 
 def test_train_from_labeled_nodes(rng):
-    table = FeatureTable(names=["a", "b"], rows=rng.normal(size=(6, 2)))
-    table.rows[:, 0] = [0, 0, 0, 5, 5, 5]
-    nodes = [
-        LabeledNode(0, OUTDOOR, 2), LabeledNode(1, OUTDOOR, 3),
-        LabeledNode(2, OUTDOOR, 1), LabeledNode(3, INDOOR, 10),
-        LabeledNode(4, INDOOR, 4), LabeledNode(5, INDOOR, 1),
-    ]
-    model = train(table, nodes, kind=RANDOM_FOREST, seed=0)
+    table = FeatureTable(names=["a", "b"], rows=rng.normal(size=(7, 2)))
+    table.rows[:, 0] = [0, 0, 0, 5, 5, 5, 9]
+    labels = np.array([0, 0, 0, 1, 1, 1, -1], dtype=np.int8)
+    weights = [2, 3, 1, 10, 4, 1, 7]
+    model = train(table, labels, weights, kind=RANDOM_FOREST, seed=0)
     scores = model.score(table.rows)
     assert all(s < 0.5 for s in scores[:3])
-    assert all(s >= 0.5 for s in scores[3:])
+    assert all(s >= 0.5 for s in scores[3:6])
+    # an unlabeled node (-1) is left out of training: the same fit as on
+    # the labeled rows alone
+    alone = train_arrays(table.rows[:6], labels[:6], weights[:6], table.names,
+                         kind=RANDOM_FOREST, seed=0)
+    assert model.to_json() == alone.to_json()
 
 
 def _leaf_tree(value):
