@@ -8,7 +8,7 @@ weighted tree ensemble, and broadcast node scores back to fingerprints.
 
 from .clustering import ClusterAssignment, ClusterParams, cluster, singleton_assignment
 from .config import PipelineConfig, config_from_file
-from .distance import DistanceCase, DistanceValue, PairwiseRanking, distance, pairwise_ranking
+from .distance import DistanceCase, DistanceValue, distance
 from .evaluation import (
     EvalReport,
     SwitchLatencyReport,

@@ -64,13 +64,6 @@ def _print_eval(report: evaluation.EvalReport) -> None:
     print(f"confusion     tp={report.tp} fp={report.fp} tn={report.tn} fn={report.fn}")
 
 
-def _node_labels(assignment, m, cfg) -> list:
-    """Majority-vote label per node, as the feature CSV spells it; None for
-    a node left unlabeled."""
-    codes = label_nodes(assignment, m.labels, cfg.tie_rule)
-    return [(None, OUTDOOR, INDOOR)[c + 1] for c in codes.tolist()]
-
-
 def _write_jsonl(path: Optional[str], records) -> None:
     """One JSON object per line, keys sorted; no file when path is unset."""
     if path:
@@ -132,9 +125,9 @@ def cmd_features(args) -> int:
     assignment = read_assignment(args.clusters)
     stages = pipeline.stages(assignment, m, cfg)
     g, table = stages.graph, stages.features
-    node_labels = _node_labels(assignment, m, cfg)
-    write_features_csv(table, g.node_weight, node_labels, args.out)
-    n_labeled = sum(1 for lab in node_labels if lab is not None)
+    codes = label_nodes(assignment, m.labels, cfg.tie_rule)
+    write_features_csv(table, g.node_weight, codes, args.out)
+    n_labeled = int(np.count_nonzero(codes >= 0))
     log(f"nodes={g.n_nodes} edges={g.n_edges} features={len(table.names)} "
         f"labeled={n_labeled} unlabeled={g.n_nodes - n_labeled} -> {args.out}")
     return 0
@@ -146,7 +139,7 @@ def cmd_select_dims(args) -> int:
     assignment = pipeline.partition(m, cfg)
     g = pipeline.graph(assignment, m, cfg)
     table = neighborhood_feature_grid(g, m, max_d=args.max_d)
-    report = select_neighborhood_sizes(table, _node_labels(assignment, m, cfg))
+    report = select_neighborhood_sizes(table, label_nodes(assignment, m.labels, cfg.tie_rule))
     print("feature            coef        t         p      selected")
     for e in report.entries:
         if e.constant or e.aliased:
@@ -166,8 +159,7 @@ def cmd_select_dims(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
-    table, weights, labels = read_features_csv(args.features)
-    codes = label_codes(labels)
+    table, weights, codes = read_features_csv(args.features)
     model = pipeline.train_model(table, codes, weights, cfg)
     model.save(args.out)
     log(f"trained {model.kind} on {np.count_nonzero(codes >= 0)} nodes -> {args.out}")

@@ -11,15 +11,17 @@ The value is 6 * sum(d_i^2) / (n * (n^2 - 1)) = 1 - rho on the union of
 the two AP sets, with a five-way case table covering empty, disjoint, and
 single-AP pairs. Values lie in [0, 2]. The triangle inequality does NOT
 hold for this measure; nothing downstream may assume it.
+
+This scalar `distance` is the reference that the oracle tests check; no
+pipeline stage calls it. Clustering and the self-join compute the same
+values for many pairs at once with `fpindex._rank_distances`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import List
 
-from .errors import DisjointError, EmptyFingerprintError
 from .model import Fingerprint
 
 
@@ -35,36 +37,6 @@ class DistanceCase(str, Enum):
 class DistanceValue:
     value: float
     case: DistanceCase
-
-
-@dataclass(frozen=True)
-class PairwiseRanking:
-    """Fractional ranks of both fingerprints over their AP union."""
-
-    union_aps: List[str]
-    ranks_x: List[float]
-    ranks_y: List[float]
-    n: int
-
-
-def pairwise_ranking(x: Fingerprint, y: Fingerprint) -> PairwiseRanking:
-    """Rank both fingerprints over their union (both must be non-empty
-    and share at least one AP; other pairs route through the distance
-    case table instead)."""
-    if x.is_empty() or y.is_empty():
-        raise EmptyFingerprintError("pairwise ranking needs non-empty fingerprints")
-    rx = x.ranks()
-    ry = y.ranks()
-    if not (rx.keys() & ry.keys()):
-        raise DisjointError("fingerprints share no AP")
-    union = sorted(rx.keys() | ry.keys())
-    n = len(union)
-    kx, ky = len(rx), len(ry)
-    miss_x = kx + (n - kx + 1) / 2.0  # tied rank of APs absent from x
-    miss_y = ky + (n - ky + 1) / 2.0
-    ranks_x = [rx.get(a, miss_x) for a in union]
-    ranks_y = [ry.get(a, miss_y) for a in union]
-    return PairwiseRanking(union_aps=union, ranks_x=ranks_x, ranks_y=ranks_y, n=n)
 
 
 def distance(x: Fingerprint, y: Fingerprint, i: int, j: int) -> DistanceValue:

@@ -47,16 +47,6 @@ class DuplicateApError(WifiInoutError):
     """The same BSSID appears twice within one scan record."""
 
 
-# --- distance -------------------------------------------------------------
-
-class EmptyFingerprintError(WifiInoutError):
-    """Pairwise ranking requested for an empty fingerprint."""
-
-
-class DisjointError(WifiInoutError):
-    """Pairwise ranking requested for fingerprints with no AP in common."""
-
-
 # --- index / clustering ---------------------------------------------------
 
 class IndexRangeError(WifiInoutError):

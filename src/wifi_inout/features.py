@@ -187,13 +187,13 @@ class FeatureSelectionReport:
 
 def select_neighborhood_sizes(
     table: FeatureTable,
-    labels: Sequence[Optional[str]],
+    labels: np.ndarray,
     alpha: float = 0.05,
 ) -> FeatureSelectionReport:
-    """OLS of the label (indoor = 1, outdoor = 0) on every (family, d)
-    feature; a feature is selected when its two-sided t-test p-value is
-    <= alpha. Constant columns are dropped before the fit and reported
-    unselected.
+    """OLS of the label code (`label_codes`: indoor = 1, outdoor = 0) on
+    every (family, d) feature, over the nodes whose code is >= 0; a
+    feature is selected when its two-sided t-test p-value is <= alpha.
+    Constant columns are dropped before the fit and reported unselected.
 
     A column that is a linear combination of others (a hop bound past
     which a family stops changing, say) is aliased: a pivoted QR of the
@@ -202,11 +202,11 @@ def select_neighborhood_sizes(
     coefficients. A design with no residual degree of freedom left
     raises RankDeficiencyError.
     """
+    labels = np.asarray(labels)
     if len(labels) != table.n_nodes:
         raise FormatError("one label slot per node required")
-    codes = label_codes(labels)
-    keep_rows = np.flatnonzero(codes >= 0)
-    y = codes[keep_rows].astype(np.float64)
+    keep_rows = np.flatnonzero(labels >= 0)
+    y = labels[keep_rows].astype(np.float64)
     if len(set(y.tolist())) < 2:
         raise DegenerateLabelsError("selection regression needs both classes")
     X = table.rows[keep_rows]
@@ -259,20 +259,23 @@ def select_neighborhood_sizes(
 def write_features_csv(
     table: FeatureTable,
     weights: Sequence[int],
-    labels: Sequence[Optional[str]],
+    labels: np.ndarray,
     path,
 ) -> None:
+    """One row per node: its features, weight and label, the label code
+    (`label_codes`) spelled indoor, outdoor, or empty for -1."""
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(table.names + ["weight", "label"])
         for x in range(table.n_nodes):
             row = [repr(float(v)) for v in table.rows[x]]
             row.append(str(int(weights[x])))
-            row.append(labels[x] if labels[x] else "")
+            row.append({1: INDOOR, 0: OUTDOOR, -1: ""}[int(labels[x])])
             writer.writerow(row)
 
 
-def read_features_csv(path) -> Tuple[FeatureTable, List[int], List[Optional[str]]]:
+def read_features_csv(path) -> Tuple[FeatureTable, List[int], np.ndarray]:
+    """Inverse of write_features_csv: the table, weights and label codes."""
     with open(path, "r", encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)
@@ -293,10 +296,10 @@ def read_features_csv(path) -> Tuple[FeatureTable, List[int], List[Optional[str]
             lab = rec[-1]
             if lab not in ("", INDOOR, OUTDOOR):
                 raise FormatError(f"bad label in feature CSV: {lab!r}")
-            labels.append(lab if lab else None)
+            labels.append(lab)
     table = FeatureTable(names=names, rows=np.array(rows, dtype=np.float64))
     if not np.isfinite(table.rows).all():
         raise FormatError("feature CSV holds a non-finite value")
     if first_non_int64(weights) is not None or any(w < 1 for w in weights):
         raise FormatError("feature CSV weights must be integers in [1, 2**63)")
-    return table, weights, labels
+    return table, weights, label_codes(labels)

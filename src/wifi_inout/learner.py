@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence
@@ -27,6 +28,7 @@ from .errors import (
     FormatError,
     InsufficientDataError,
     require_int64,
+    require_number,
 )
 from .features import FeatureTable
 from .model import INDOOR, OUTDOOR, label_codes
@@ -131,6 +133,7 @@ class Model:
         try:
             obj = json.loads(text)
             require_int64([obj["seed"]], "model seed")
+            require_number([obj["f0"]], "model f0")
             names = obj["feature_names"]
             if type(names) is not list or not all(type(n) is str for n in names):
                 raise FormatError("model feature_names must be a list of strings")
@@ -150,12 +153,21 @@ class Model:
             raise FormatError("model has no trees")
         if not math.isfinite(model.f0):
             raise FormatError(f"model f0 must be finite, got {model.f0!r}")
-        if model.kind == GBM:
-            lr = model.hyperparameters.get("learning_rate")
-            if isinstance(lr, bool) or not isinstance(lr, (int, float)) or not 0 < lr < math.inf:
-                raise FormatError(f"gbm model needs a finite learning_rate > 0, got {lr!r}")
         for tree in model.trees:
             tree.check(len(model.feature_names))
+        if model.kind == GBM:
+            lr = model.hyperparameters.get("learning_rate")
+            if type(lr) not in (int, float) or not 0 < lr <= sys.float_info.max:
+                raise FormatError(f"gbm model needs a finite learning_rate > 0, got {lr!r}")
+            # |F| <= |f0| + sum over trees of lr * max |leaf value| for every
+            # partial sum F in `score`, summed here in the same order and
+            # rounding, so a finite bound leaves no score NaN
+            bound = abs(model.f0)
+            for tree in model.trees:
+                bound += lr * float(np.abs(tree.value).max())
+            if not math.isfinite(bound):
+                raise FormatError("gbm model scores overflow: |f0| + learning_rate * "
+                                  "sum of max |leaf value| is not finite")
         return model
 
     def save(self, path) -> None:

@@ -71,9 +71,17 @@ class WorldSpec:
             raise ConfigError("building AP range inverted")
         if self.outdoor_visible_min < 0 or self.outdoor_visible_max < self.outdoor_visible_min:
             raise ConfigError("outdoor visibility range inverted")
+        if max(self.buildings, self.building_ap_max, self.outdoor_visible_max) >= 2**63:
+            raise ConfigError("building, AP and visibility counts must be below 2**63")
         for sigma in (self.indoor_rssi_sigma, self.outdoor_rssi_sigma, self.scan_noise_sigma):
             if sigma <= 0:
                 raise ConfigError("sigma values must be > 0")
+        # readings are clamped to [-99, -20] dBm; a level or spread far past
+        # that only risks a draw that overflows to inf
+        for name in ("indoor_rssi_mean", "indoor_rssi_sigma", "outdoor_rssi_mean",
+                     "outdoor_rssi_sigma", "scan_noise_sigma"):
+            if abs(getattr(self, name)) > 1000:
+                raise ConfigError(f"{name} must lie within 1000 dB of 0")
         for p in (self.ap_dropout, self.outdoor_empty_prob):
             if not 0.0 <= p <= 1.0:
                 raise ConfigError("probabilities must be in [0, 1]")
@@ -85,6 +93,17 @@ class WorldSpec:
                 raise ConfigError("dwell ranges must satisfy 0 <= min <= max")
         if self.indoor_dwell_max_s == 0 and self.outdoor_dwell_max_s == 0:
             raise ConfigError("at least one phase needs a positive dwell time")
+        # `generate`'s arithmetic: int(duration / period) scans, scan i
+        # stamped start + int(i * period * 1000), so the last one bounds them
+        n_scans = self.duration_s / self.scan_period_s
+        if not n_scans >= 1:
+            raise ConfigError(f"duration_s {self.duration_s} holds no scan of period "
+                              f"{self.scan_period_s} s")
+        last_ms = (int(n_scans) - 1) * self.scan_period_s * 1000 if n_scans < 2**63 else math.inf
+        if not (-2**63 <= self.start_timestamp_ms and last_ms < 2**64
+                and self.start_timestamp_ms + int(last_ms) < 2**63):
+            raise ConfigError("every scan's seq and timestamp_ms (start_timestamp_ms plus "
+                              "its offset) must lie within int64")
         return self
 
 

@@ -4,7 +4,10 @@ Splits maximize the weighted impurity-mass decrease: Gini for
 classification, squared error for the boosting stage's gradient fits.
 Integer instance weights enter every statistic as multiplicities, so a
 point of weight k and k unit-weight copies produce bit-identical split
-gains (weighted sums of integers are exact in float64).
+gains (weighted sums of integers are exact in float64). Each internal
+node stores its split's gain in `Tree.gain` (0 at a leaf): the one
+record of how much a split decreased impurity, from which impurity
+importance per feature can be summed (Breiman, Random Forests, 2001).
 
 Split search scans each column in sorted order, and a column is sorted at
 most once per path: a node's rows sorted by feature f are its parent's
@@ -169,26 +172,6 @@ def _impurity_mass(w_total, wy_total, wy2_total, criterion):
         w0 = w_total - wy_total
         return w_total - (wy_total * wy_total + w0 * w0) / w_total
     return wy2_total - (wy_total * wy_total) / w_total
-
-
-def split_gain(
-    x: np.ndarray,
-    y: np.ndarray,
-    w: np.ndarray,
-    threshold: float,
-    criterion: str = "gini",
-) -> float:
-    """Impurity-mass decrease of splitting one column at `threshold`
-    (x <= threshold left). Exposed for weight-influence analysis."""
-    left = x <= threshold
-    if not left.any() or left.all():
-        return 0.0
-    wl, wr = w[left], w[~left]
-    yl, yr = y[left], y[~left]
-    parent = _impurity_mass(w.sum(), (w * y).sum(), (w * y * y).sum(), criterion)
-    lmass = _impurity_mass(wl.sum(), (wl * yl).sum(), (wl * yl * yl).sum(), criterion)
-    rmass = _impurity_mass(wr.sum(), (wr * yr).sum(), (wr * yr * yr).sum(), criterion)
-    return float(parent - lmass - rmass)
 
 
 def _best_split(xs, ys, ws, min_leaf, criterion):

@@ -680,6 +680,68 @@ def test_non_numeric_model_field_makes_predict_exit_one(tmp_path, capsys, rf_run
     assert message in err and "Traceback" not in err
 
 
+@pytest.fixture(scope="module")
+def gbm_run(tmp_path_factory):
+    """A GBM model saved by `pipeline --out` on a 10-minute seed-9 world,
+    and that world's scans."""
+    root = tmp_path_factory.mktemp("gbm_run")
+    (root / "w.cfg").write_text("seed = 9\nduration_s = 600\n", encoding="utf-8")
+    scans = root / "w.scans"
+    assert main(["synth", "--spec", str(root / "w.cfg"), "--out", str(scans)]) == 0
+    assert main(["pipeline", "--train", str(scans), "--test", str(scans), "--learner", "gbm",
+                 "--out", str(root / "run")]) == 0
+    return json.loads((root / "run.model.json").read_text()), scans
+
+
+def _huge_opposite_leaves(model):
+    # every value stays finite, but 1e308 * 1e308 overflows to inf in one
+    # tree and to -inf in the next, and their sum is NaN
+    model["hyperparameters"]["learning_rate"] = 1e308
+    for tree, v in zip(model["trees"], (1e308, -1e308)):
+        tree["value"] = [v if f == -1 else x for f, x in zip(tree["feature"], tree["value"])]
+
+
+def _set_hyperparameter(key, value):
+    def corrupt(model):
+        model["hyperparameters"][key] = value
+    return corrupt
+
+
+def _set_f0(value):
+    def corrupt(model):
+        model["f0"] = value
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_huge_opposite_leaves, "gbm model scores overflow"),
+    (_set_hyperparameter("learning_rate", 10**400), "finite learning_rate"),
+    (_set_f0("0.25"), "model f0 must be numbers"),
+    (_set_f0(True), "model f0 must be numbers"),
+], ids=["leaves-1e308", "lr-1e400", "f0-str", "f0-true"])
+def test_gbm_model_that_scores_nan_or_misreads_makes_predict_exit_one(tmp_path, capsys,
+                                                                      gbm_run, corrupt,
+                                                                      message):
+    # the loader used to accept all four: predict then wrote "score": NaN
+    # for the first, raised OverflowError for the second, and read the
+    # last two through float()
+    err = _predict_with_corrupted_model(tmp_path, capsys, gbm_run, corrupt)
+    assert message in err and "Traceback" not in err
+
+
+def test_gbm_model_with_a_large_finite_bound_still_predicts(tmp_path, capsys, gbm_run):
+    model, scans = gbm_run
+    model = json.loads(json.dumps(model))
+    model["hyperparameters"]["learning_rate"] = 1e300
+    path = tmp_path / "big.model.json"
+    path.write_text(json.dumps(model), encoding="utf-8")
+    preds = tmp_path / "p.jsonl"
+    assert main(["predict", "--model", str(path), "--scans", str(scans),
+                 "--out", str(preds)]) == 0
+    scores = [json.loads(line)["score"] for line in preds.read_text().splitlines()]
+    assert all(0.0 <= s <= 1.0 for s in scores)
+
+
 @pytest.mark.parametrize("entry", ['"cluster": 3.5', '"cluster": 10000000000000000000000000000000'])
 def test_non_integer_assignment_makes_graph_exit_one(tmp_path, capsys, entry):
     scans = _tiny_scans(tmp_path)
@@ -805,9 +867,9 @@ _SMALL_FEATURES = (
 )
 
 # byte edits: (kind, position, xor mask); positions wrap around the data
-_edits = st.lists(st.tuples(st.sampled_from(["flip", "truncate", "nul", "ff", "dup"]),
-                            st.integers(0, 2**16), st.integers(1, 255)),
-                  min_size=1, max_size=3)
+_byte_edit = st.tuples(st.sampled_from(["flip", "truncate", "nul", "ff", "dup"]),
+                       st.integers(0, 2**16), st.integers(1, 255))
+_edits = st.lists(_byte_edit, min_size=1, max_size=3)
 
 
 def _mutate(data: bytes, edits) -> bytes:
@@ -867,3 +929,191 @@ def test_mutated_predictions_evaluate_or_exit_one(fuzz_dir, edits):
     preds.write_bytes(_mutate((fuzz_dir / "s.preds").read_bytes(), edits))
     assert _exits_zero_or_one_with_error_line(
         ["eval", "--preds", str(preds), "--scans", str(fuzz_dir / "s.scans")])
+
+
+# --- fuzz: mutated scan logs, assignments, models, configs and world specs ---
+
+# a 60 s world that walks in and out, so its nodes carry both labels
+_FUZZ_WORLD = (
+    b"duration_s = 60\nseed = 3\nbuildings = 2\nindoor_dwell_min_s = 12\n"
+    b"indoor_dwell_max_s = 24\noutdoor_dwell_min_s = 12\noutdoor_dwell_max_s = 24\n"
+    b"scan_period_s = 3\nindoor_rssi_mean = -55.5\nindoor_rssi_sigma = 12\n"
+    b"outdoor_rssi_sigma = 8\nscan_noise_sigma = 3\nap_dropout = 0.25\n"
+    b"outdoor_empty_prob = 0.3\nprofile = normal\ndevice_id = phone\n"
+    b"start_timestamp_ms = 1600000000000\n"
+)
+_FUZZ_CONFIG = b"eps = 0.3\nmin_pts = 2\nvariant = graph\nmax_gap_ms = 9000\nseed = 5\n"
+
+# world-spec keys that set how many scans, buildings or APs a world has: a
+# huge value there asks for a huge world, which is not a malformed file
+_SIZE_KEYS = {"duration_s", "scan_period_s", "buildings", "building_ap_min",
+              "building_ap_max", "outdoor_visible_min", "outdoor_visible_max",
+              "indoor_dwell_min_s", "indoor_dwell_max_s", "outdoor_dwell_min_s",
+              "outdoor_dwell_max_s"}
+
+# value edits: (kind, line, path, choice); each index wraps around what it picks
+_value_edits = st.tuples(st.sampled_from(["swap", "huge", "nonfinite", "dupkey"]),
+                         st.integers(0, 2**16), st.integers(0, 2**16), st.integers(0, 2**16))
+_file_edits = st.lists(st.one_of(_byte_edit, _value_edits), min_size=1, max_size=3)
+
+_NEW_VALUES = {
+    "swap": [lambda v: str(v), lambda v: True, lambda v: None, lambda v: [v],
+             lambda v: {"v": v}, lambda v: 0 if isinstance(v, str) else "x"],
+    "huge": [lambda v: c for c in (10**30, -10**30, 2**63, -2**63 - 1, 10**400,
+                                    1e308, -1e308, 5e-324)],
+    "nonfinite": [lambda v: c for c in (float("nan"), float("inf"), float("-inf"))],
+}
+_NEW_VALUES["dupkey"] = _NEW_VALUES["swap"] + _NEW_VALUES["huge"] + _NEW_VALUES["nonfinite"]
+
+
+def _slots(doc):
+    """(container, key) of every value inside a JSON document, depth first."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    out = []
+    for key, value in items:
+        out.append((doc, key))
+        if isinstance(value, (dict, list)):
+            out += _slots(value)
+    return out
+
+
+def _edit_json_line(line: bytes, kind, path, choice) -> bytes:
+    """One value edit of a JSON line: a value swapped for another type, a
+    huge or non-finite number, or a key of an object repeated with a new
+    value, before or after the original."""
+    doc = json.loads(line)
+    slots = [s for s in _slots(doc) if kind != "dupkey" or isinstance(s[0], dict)]
+    if not slots:
+        return line
+    container, key = slots[path % len(slots)]
+    new = _NEW_VALUES[kind][choice % len(_NEW_VALUES[kind])](container[key])
+    if kind != "dupkey":
+        container[key] = new
+        return json.dumps(doc).encode()
+    pairs = [f"{json.dumps(k)}: {json.dumps(v)}" for k, v in container.items()]
+    pairs.insert(len(pairs) if choice % 2 else 0, f"{json.dumps(key)}: {json.dumps(new)}")
+    container.clear()
+    container["\x00dup"] = None  # a marker no file holds, replaced by the pairs
+    text = json.dumps(doc)
+    return text.replace(json.dumps({"\x00dup": None}), "{" + ", ".join(pairs) + "}").encode()
+
+
+_KV_VALUES = {
+    "swap": ["true", "none", "", "abc", "[1]", "{}", "0x10"],
+    "huge": ["1e308", "-1e308", "1" + "0" * 30, str(2**63), str(-2**63 - 1), "1e400",
+             "5e-324", "9" * 5000],
+    "nonfinite": ["nan", "inf", "-inf", "NaN", "-Infinity"],
+}
+_KV_VALUES["dupkey"] = _KV_VALUES["swap"] + _KV_VALUES["huge"] + _KV_VALUES["nonfinite"]
+
+
+def _edit_kv(data: bytes, kind, line, choice) -> bytes:
+    """One value edit of a key = value file, never of a size key: a value
+    replaced, or its line repeated with a new value."""
+    lines = data.decode("utf-8", "surrogateescape").splitlines()
+    keyed = [i for i, ln in enumerate(lines)
+             if "=" in ln and ln.split("=", 1)[0].strip() not in _SIZE_KEYS]
+    if not keyed:
+        return data
+    i = keyed[line % len(keyed)]
+    key = lines[i].split("=", 1)[0].strip()
+    new = f"{key} = {_KV_VALUES[kind][choice % len(_KV_VALUES[kind])]}"
+    if kind == "dupkey":
+        lines.insert(i + choice % 2, new)
+    else:
+        lines[i] = new
+    return ("\n".join(lines) + "\n").encode("utf-8", "surrogateescape")
+
+
+def _mutate_file(data: bytes, edits, kv: bool) -> bytes:
+    """Apply byte edits (`_mutate`) and value edits in turn; a value edit of
+    a line that an earlier edit left unparsable changes nothing."""
+    for edit in edits:
+        if len(edit) == 3:
+            data = _mutate(data, [edit])
+        elif kv:
+            data = _edit_kv(data, edit[0], edit[1], edit[3])
+        else:
+            lines = data.splitlines(keepends=True)
+            if lines:
+                k = edit[1] % len(lines)
+                try:
+                    lines[k] = _edit_json_line(lines[k], edit[0], edit[2], edit[3]) + b"\n"
+                except ValueError:  # not JSON, or not UTF-8
+                    continue
+                data = b"".join(lines)
+    return data
+
+
+@pytest.fixture(scope="module")
+def fuzz_world(tmp_path_factory):
+    """The 60 s world's scans, its assignment, and an RF and a GBM model
+    trained on it."""
+    root = tmp_path_factory.mktemp("fuzz_world")
+    (root / "w.cfg").write_bytes(_FUZZ_WORLD)
+    scans = str(root / "w.scans")
+    assert main(["synth", "--spec", str(root / "w.cfg"), "--out", scans]) == 0
+    assert main(["cluster", "--scans", scans, "--out", str(root / "w.clusters")]) == 0
+    assert main(["features", "--scans", scans, "--clusters", str(root / "w.clusters"),
+                 "--out", str(root / "w.csv")]) == 0
+    for learner in ("rf", "gbm"):
+        (root / f"{learner}.cfg").write_text(f"learner = {learner}\nn_trees = 5\n"
+                                             "gbm_rounds = 5\n", encoding="utf-8")
+        assert main(["train", "--features", str(root / "w.csv"),
+                     "--config", str(root / f"{learner}.cfg"),
+                     "--out", str(root / f"{learner}.json")]) == 0
+    return root
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=5))
+@given(edits=_file_edits)
+def test_mutated_scan_log_ingests_or_exits_one(fuzz_world, edits):
+    scans = fuzz_world / "m.scans"
+    scans.write_bytes(_mutate_file((fuzz_world / "w.scans").read_bytes(), edits, kv=False))
+    assert _exits_zero_or_one_with_error_line(["ingest", "--scans", str(scans)])
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=5))
+@given(edits=_file_edits)
+def test_mutated_assignment_gives_features_or_exits_one(fuzz_world, edits):
+    clusters = fuzz_world / "m.clusters"
+    clusters.write_bytes(_mutate_file((fuzz_world / "w.clusters").read_bytes(), edits,
+                                      kv=False))
+    assert _exits_zero_or_one_with_error_line(
+        ["features", "--scans", str(fuzz_world / "w.scans"), "--clusters", str(clusters),
+         "--out", str(fuzz_world / "m.csv")])
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=5))
+@given(learner=st.sampled_from(["rf", "gbm"]), edits=_file_edits)
+def test_mutated_model_predicts_or_exits_one(fuzz_world, learner, edits):
+    model = fuzz_world / "m.json"
+    model.write_bytes(_mutate_file((fuzz_world / f"{learner}.json").read_bytes(), edits,
+                                   kv=False))
+    preds = fuzz_world / "m.preds"
+    preds.unlink(missing_ok=True)
+    assert _exits_zero_or_one_with_error_line(
+        ["predict", "--model", str(model), "--scans", str(fuzz_world / "w.scans"),
+         "--out", str(preds)])
+    if preds.exists():  # a model that loads scores every scan in [0, 1]
+        scores = [json.loads(line)["score"] for line in preds.read_text().splitlines()]
+        assert all(0.0 <= s <= 1.0 for s in scores)
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=5))
+@given(edits=_file_edits)
+def test_mutated_config_clusters_or_exits_one(fuzz_world, edits):
+    config = fuzz_world / "m.cfg"
+    config.write_bytes(_mutate_file(_FUZZ_CONFIG, edits, kv=True))
+    assert _exits_zero_or_one_with_error_line(
+        ["cluster", "--scans", str(fuzz_world / "w.scans"), "--config", str(config),
+         "--out", str(fuzz_world / "m.clusters.out")])
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=5))
+@given(edits=_file_edits)
+def test_mutated_world_spec_synthesizes_or_exits_one(fuzz_world, edits):
+    spec = fuzz_world / "m.world"
+    spec.write_bytes(_mutate_file(_FUZZ_WORLD, edits, kv=True))
+    assert _exits_zero_or_one_with_error_line(
+        ["synth", "--spec", str(spec), "--out", str(fuzz_world / "m.world.scans")])

@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from wifi_inout.distance import (
-    DistanceCase,
-    distance,
-    pairwise_ranking,
-)
-from wifi_inout.errors import DisjointError, EmptyFingerprintError
+from wifi_inout.distance import DistanceCase, distance
 
 from conftest import fp, raw_fp
 from oracles import eps_oracle_distance
@@ -17,55 +12,22 @@ C = "0c:00:00:00:00:03"
 D = "0d:00:00:00:00:04"
 
 
-def test_pairwise_ranking_four_ap_example():
-    x = fp(0, {A: -40, B: -60, C: -70})
-    y = fp(1, {A: -50, B: -45, D: -80})
-    r = pairwise_ranking(x, y)
-    assert r.union_aps == [A, B, C, D]
-    assert r.n == 4
-    assert r.ranks_x == [1, 2, 3, 4]
-    assert r.ranks_y == [2, 1, 4, 3]
-
-
-def test_pairwise_ranking_subset_example():
+def test_subset_example_ranks_the_missing_ap_last():
+    # x lacks B, which ranks 2 in x as in y: the union ranks agree
     x = fp(0, {A: -40})
     y = fp(1, {A: -50, B: -60})
-    r = pairwise_ranking(x, y)
-    assert r.n == 2
-    assert r.ranks_x == [1, 2]
-    assert r.ranks_y == [1, 2]
+    r = distance(x, y, 0, 1)
+    assert r.case is DistanceCase.SPEARMAN
+    assert r.value == 0.0
 
 
-def test_pairwise_ranking_tie_example():
+def test_tie_example_shares_the_average_rank():
+    # x ranks A and B 1.5 each, y ranks them 1 and 2: 6 * 0.5 / (2 * 3)
     x = fp(0, {A: -50, B: -50})
     y = fp(1, {A: -40, B: -60})
-    r = pairwise_ranking(x, y)
-    assert r.ranks_x == [1.5, 1.5]
-    assert r.ranks_y == [1, 2]
-
-
-def test_pairwise_ranking_rank_sums(rng):
-    for _ in range(200):
-        kx = int(rng.integers(1, 8))
-        ky = int(rng.integers(1, 8))
-        aps = [f"02:00:00:00:00:{i:02x}" for i in range(10)]
-        x_aps = rng.choice(10, size=kx, replace=False)
-        y_aps = rng.choice(10, size=ky, replace=False)
-        x = fp(0, {aps[int(a)]: int(rng.integers(-95, -30)) for a in x_aps})
-        y = fp(1, {aps[int(a)]: int(rng.integers(-95, -30)) for a in y_aps})
-        if not (x.powers.keys() & y.powers.keys()):
-            continue
-        r = pairwise_ranking(x, y)
-        expected = r.n * (r.n + 1) / 2
-        assert sum(r.ranks_x) == expected
-        assert sum(r.ranks_y) == expected
-
-
-def test_pairwise_ranking_errors():
-    with pytest.raises(EmptyFingerprintError):
-        pairwise_ranking(fp(0, {}), fp(1, {A: -40}))
-    with pytest.raises(DisjointError):
-        pairwise_ranking(fp(0, {A: -40}), fp(1, {B: -40}))
+    r = distance(x, y, 0, 1)
+    assert r.case is DistanceCase.SPEARMAN
+    assert r.value == 0.5
 
 
 def test_case_table_both_empty_adjacent():
@@ -178,12 +140,3 @@ def test_scale_invariance(rng):
             xs = raw_fp(0, {a: p * c for a, p in x.powers.items()})
             ys = raw_fp(1, {a: p * c for a, p in y.powers.items()})
             assert distance(xs, ys, 0, 1).value == distance(x, y, 0, 1).value
-
-
-def test_distance_consistent_with_pairwise_ranking(rng):
-    for _ in range(200):
-        x, y = _random_pair(rng)
-        r = pairwise_ranking(x, y)
-        ssd = sum((a - b) ** 2 for a, b in zip(r.ranks_x, r.ranks_y))
-        expected = 6.0 * ssd / (r.n * (r.n * r.n - 1))
-        assert distance(x, y, 0, 1).value == pytest.approx(expected, abs=1e-12)

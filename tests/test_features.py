@@ -1,3 +1,4 @@
+import csv
 from typing import Set
 
 import numpy as np
@@ -267,8 +268,7 @@ def test_ols_matches_normal_equations():
     X = rng.normal(size=(10, 3))
     y = (rng.random(10) > 0.5).astype(float)
     table = FeatureTable(names=["power_d0", "power_d1", "power_d2"], rows=X)
-    labels = [INDOOR if v == 1.0 else OUTDOOR for v in y]
-    report = select_neighborhood_sizes(table, labels)
+    report = select_neighborhood_sizes(table, y.astype(np.int8))
     beta, t_stats, p_values = ols_normal_equations(X, y)
     for k, entry in enumerate(report.entries):
         assert entry.coef == pytest.approx(beta[k + 1], abs=1e-9)
@@ -290,8 +290,7 @@ def test_selection_finds_the_informative_feature():
     ])
     table = FeatureTable(
         names=["power_d0", "power_d1", "power_d2", "power_d3"], rows=X)
-    labels = [INDOOR if v == 1.0 else OUTDOOR for v in y]
-    report = select_neighborhood_sizes(table, labels)
+    report = select_neighborhood_sizes(table, y.astype(np.int8))
     assert report.entries[0].selected
     assert not any(e.selected for e in report.entries[1:])
     assert report.selected_by_family()["power"] == [0]
@@ -300,11 +299,11 @@ def test_selection_finds_the_informative_feature():
 def test_selection_errors_and_constants():
     rows = np.column_stack([np.ones(6), np.arange(6.0)])
     table = FeatureTable(names=["aps_d0", "aps_d1"], rows=rows)
-    labels = [INDOOR] * 6
+    labels = np.ones(6, dtype=np.int8)
     with pytest.raises(DegenerateLabelsError):
         select_neighborhood_sizes(table, labels)
 
-    labels = [INDOOR, OUTDOOR, INDOOR, OUTDOOR, INDOOR, OUTDOOR]
+    labels = np.array([1, 0, 1, 0, 1, 0], dtype=np.int8)
     report = select_neighborhood_sizes(table, labels)
     assert report.entries[0].constant and not report.entries[0].selected
 
@@ -333,7 +332,7 @@ def test_aliased_columns_leave_the_fit_of_a_basis(seed, p, n_alias):
     X = rng.normal(size=(n, p))
     y = (rng.random(n) > 0.5).astype(float)
     y[:2] = [0.0, 1.0]
-    labels = [INDOOR if v == 1.0 else OUTDOOR for v in y]
+    labels = y.astype(np.int8)
     combos = X @ rng.integers(1, 3, size=(p, n_alias)) + rng.integers(-3, 4, size=n_alias)
     names = [f"power_d{d}" for d in range(p)] + [f"aps_d{d}" for d in range(n_alias)]
     report = select_neighborhood_sizes(
@@ -352,15 +351,47 @@ def test_features_csv_round_trip(tmp_path, rng):
     m = random_scan_matrix(rng, 150, ap_pool=15, empty_prob=0.1)
     _, g = _pipeline(m)
     table = extract_features(g, m)
-    labels = [INDOOR if x % 3 == 0 else (OUTDOOR if x % 3 == 1 else None)
-              for x in range(g.n_nodes)]
+    labels = np.array([(1, 0, -1)[x % 3] for x in range(g.n_nodes)], dtype=np.int8)
     path = tmp_path / "features.csv"
     write_features_csv(table, g.node_weight, labels, path)
     table2, weights2, labels2 = read_features_csv(path)
     assert table2.names == table.names
     assert np.array_equal(table2.rows, table.rows)  # repr round-trips exactly
     assert weights2 == g.node_weight
-    assert labels2 == labels
+    assert labels2.dtype == np.int8 and np.array_equal(labels2, labels)
+
+
+def reference_write_features_csv(table, weights, labels, path):
+    """The string-label writer that `write_features_csv` replaced, kept
+    verbatim: labels are "indoor", "outdoor" or None."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(table.names + ["weight", "label"])
+        for x in range(table.n_nodes):
+            row = [repr(float(v)) for v in table.rows[x]]
+            row.append(str(int(weights[x])))
+            row.append(labels[x] if labels[x] else "")
+            writer.writerow(row)
+
+
+@settings(max_examples=100, deadline=None)
+@given(codes=st.one_of(
+    st.integers(0, 12).map(lambda n: [-1] * n),  # no node labelled
+    st.lists(st.sampled_from([-1, 0, 1]), max_size=12),
+), data=st.data())
+def test_features_csv_writes_the_bytes_of_the_string_label_writer(tmp_path_factory, codes,
+                                                                  data):
+    n = len(codes)
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    rows = np.array(data.draw(st.lists(st.lists(finite, min_size=2, max_size=2),
+                                       min_size=n, max_size=n)), dtype=np.float64)
+    table = FeatureTable(names=["power_d0", "aps_d0"], rows=rows.reshape(n, 2))
+    weights = data.draw(st.lists(st.integers(1, 2**63 - 1), min_size=n, max_size=n))
+    root = tmp_path_factory.mktemp("csv")
+    write_features_csv(table, weights, np.array(codes, dtype=np.int8), root / "codes.csv")
+    spelled = [{1: INDOOR, 0: OUTDOOR, -1: None}[c] for c in codes]
+    reference_write_features_csv(table, weights, spelled, root / "strings.csv")
+    assert (root / "codes.csv").read_bytes() == (root / "strings.csv").read_bytes()
 
 
 def test_features_csv_rejects_malformed(tmp_path):

@@ -23,7 +23,7 @@ from wifi_inout.learner import (
     train_arrays,
 )
 from wifi_inout.model import INDOOR, OUTDOOR, label_codes
-from wifi_inout.trees import Tree, grow_tree, split_gain
+from wifi_inout.trees import Tree, grow_tree
 from wifi_inout import learner
 from wifi_inout.evaluation import auc
 
@@ -192,24 +192,24 @@ def test_weight_k_equals_k_duplicates(seed, n, p, criterion):
         assert np.array_equal(getattr(t_weighted, name), getattr(t_dup, name)), name
 
 
-def test_misfit_weight_monotonically_raises_split_gain():
-    # 1-D: lone positive at x=0 among negatives; the split isolating it
-    # gains more as its weight grows
-    x = np.array([0.0, 1.0, 2.0, 3.0])
+def test_misfit_weight_raises_the_stump_gain():
+    # 1-D: lone positive at x=0 among negatives; the root splits it off
+    # with gain 6k/(k + 3) (up to the rounding of the impurity masses),
+    # which rises with its weight k
+    x = np.array([[0.0], [1.0], [2.0], [3.0]])
     y = np.array([1.0, 0.0, 0.0, 0.0])
     gains = []
     for k in range(1, 12):
-        w = np.array([float(k), 1.0, 1.0, 1.0])
-        gains.append(split_gain(x, y, w, threshold=0.5))
-    assert all(b >= a for a, b in zip(gains, gains[1:]))
-    assert gains[-1] > gains[0]
+        tree = grow_tree(x, y, np.array([float(k), 1.0, 1.0, 1.0]))
+        assert tree.feature[0] == 0 and tree.threshold[0] == 0.5
+        assert tree.gain[0] == pytest.approx(6 * k / (k + 3), rel=1e-15, abs=0)
+        gains.append(tree.gain[0])
+    assert all(b > a for a, b in zip(gains, gains[1:]))
 
 
-def test_split_gain_degenerate_split_is_zero():
-    x = np.array([1.0, 1.0])
-    y = np.array([0.0, 1.0])
-    w = np.ones(2)
-    assert split_gain(x, y, w, threshold=5.0) == 0.0
+def test_constant_column_grows_a_single_leaf():
+    tree = grow_tree(np.array([[1.0], [1.0]]), np.array([0.0, 1.0]), np.ones(2))
+    assert tree.n_nodes == 1 and tree.feature[0] == -1 and tree.gain[0] == 0.0
 
 
 def test_train_errors():

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from wifi_inout.cli import main
 from wifi_inout.errors import ConfigError
 from wifi_inout.model import INDOOR, OUTDOOR, ingest, record_to_json
 from wifi_inout.synth import (
@@ -130,3 +131,43 @@ def test_worldspec_from_file(tmp_path):
     bad.write_text("volume = 11\n", encoding="utf-8")
     with pytest.raises(ConfigError):
         worldspec_from_file(bad)
+
+
+@pytest.mark.parametrize("spec", [
+    "start_timestamp_ms = 9223372036854775000\nduration_s = 60\n",
+    "scan_period_s = 1e9\n",
+    "duration_s = 2.5\n",
+    "start_timestamp_ms = -9223372036854775809\nduration_s = 60\n",
+    "duration_s = 1e300\n",
+    "duration_s = 1e300\nscan_period_s = 1e-300\n",
+], ids=["last-stamp-past-int64", "no-scan", "shorter-than-a-period", "start-below-int64",
+        "span-past-int64", "scan-count-overflows"])
+def test_synth_refuses_a_world_its_ingest_would_reject(tmp_path, capsys, spec):
+    # synth used to write the first four logs, which `ingest` rejects (a
+    # timestamp beyond int64, or an empty stream); it began a world of
+    # 3e299 scans for the fifth and raised OverflowError on the sixth
+    path = tmp_path / "world.cfg"
+    path.write_text(spec, encoding="utf-8")
+    assert main(["synth", "--spec", str(path), "--out", str(tmp_path / "s.scans")]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    assert not (tmp_path / "s.scans").exists()
+
+
+@pytest.mark.parametrize("key", ["buildings", "building_ap_max", "outdoor_visible_max"])
+def test_counts_beyond_int64_are_refused(key):
+    # `rng.integers` draws from these counts in int64: 2**63 made it raise
+    # ValueError, after a loop over that many buildings for `buildings`
+    with pytest.raises(ConfigError, match="below 2\\*\\*63"):
+        WorldSpec(duration_s=60.0, **{key: 2**63}).validate()
+
+
+def test_world_stamps_may_reach_the_int64_edge(tmp_path):
+    # 20 scans of 3 s: the last is stamped start + 57,000 ms = 2**63 - 1
+    spec = WorldSpec(seed=3, duration_s=60.0, start_timestamp_ms=2**63 - 1 - 57_000)
+    m = ingest(generate(spec))
+    assert m.T == 20 and m.timestamps_ms[-1] == 2**63 - 1
+    with pytest.raises(ConfigError, match="int64"):
+        WorldSpec(duration_s=60.0, start_timestamp_ms=2**63 - 57_000).validate()
+    one = WorldSpec(duration_s=3.0, start_timestamp_ms=-2**63)
+    assert len(generate(one)) == 1
