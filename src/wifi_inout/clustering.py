@@ -9,20 +9,22 @@ graph. Each fingerprint is region-queried at most once, and exactly once
 at min_pts = 1. Noise points become singleton clusters so the partition
 stays total and the transition graph covers every scan.
 
-At min_pts = 1 only the first query of each distinct non-empty rank map
-computes distances; a repeated rank map has the same eps-neighbourhood,
-so its query takes the first one's answer (`region_query_arr`'s `memo`).
-An empty scan is always computed, since an empty pair's distance depends
-on stream position.
+The loop's neighbourhoods are computed in one batch before it starts:
+a repeated rank map has the same eps-neighbourhood as its first
+occurrence, so one blocked sparse self-join over the first scan of each
+distinct non-empty rank map (`fpindex.neighbourhoods`) gives every
+non-empty query's answer (`region_query_arr`'s `memo`), whole, at every
+min_pts. Its memory grows with the sum, over distinct maps, of their
+neighbourhood sizes. An empty scan's neighbourhood is its adjacent empty
+scans, since an empty pair's distance depends on stream position.
 
 At min_pts = 1 appending a fingerprint only adds eps-edges, so the
 eps-edges of a whole stream, found once, give the partition of every
 prefix (`prefix_partitions`; Ester et al., VLDB 1998), and a minimum
 spanning forest of them, weighted by the later scan, spans the same
 components at every prefix with far fewer edges. The eps-edges come
-from one blocked sparse self-join over the stream's scans
-(`fpindex.eps_edges`) rather than one region query per scan, so they
-need no index; only `cluster`'s region queries read one.
+from the same self-join over the stream's scans (`fpindex.eps_edges`),
+which needs no index; only `cluster` reads one.
 
 A partition is stored once, as its label vector `cluster_of`; cluster
 sizes and member lists are derived from it.
@@ -41,7 +43,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 
 from .errors import ConfigError, CoverageError, FormatError, IndexRangeError, require_int64
-from .fpindex import FingerprintIndex, eps_edges, region_query_arr
+from .fpindex import FingerprintIndex, eps_edges, neighbourhoods, region_query_arr
 from .model import FingerprintMatrix
 
 
@@ -83,17 +85,12 @@ def _canonical(labels: np.ndarray) -> ClusterAssignment:
     return ClusterAssignment(cluster_of=np.argsort(np.argsort(first))[inverse])
 
 
-def _claim(
-    labels: np.ndarray, live: Optional[np.ndarray], neigh: np.ndarray, label: int
-) -> np.ndarray:
+def _claim(labels: np.ndarray, neigh: np.ndarray, label: int) -> np.ndarray:
     """Give `label` to the unvisited and noise points of a core point's
-    neighbourhood (noise becomes a border point); return the unvisited ones.
-    Claimed points leave `live`, when there is one."""
+    neighbourhood (noise becomes a border point); return the unvisited ones."""
     neigh = neigh[labels[neigh] < 0]
     fresh = neigh[labels[neigh] == -1]
     labels[neigh] = label
-    if live is not None:
-        live[neigh] = False
     return fresh
 
 
@@ -114,41 +111,31 @@ def cluster(
     `order` permutes the expansion order (testing hook); it may change
     intermediate labels but never the resulting partition for min_pts=1.
 
-    At min_pts = 1 a labelled point can never change its label, so the
-    queries skip labelled points (`live` is the unlabelled ones) and drop
-    them from the postings they read. They do so on a private copy of
-    `index`; the caller's index is left unchanged. A query whose rank map
-    was queried before reuses that answer (`memo`; module docstring), so
-    each distinct non-empty rank map's distances are computed once. At
-    min_pts > 1 every neighbour counts towards the core test, so nothing
-    is skipped.
+    Before the loop, one self-join over `index` gives every distinct
+    non-empty rank map's whole eps-neighbourhood (`neighbourhoods`), and
+    each non-empty query takes its answer from that memo, at every
+    min_pts; an empty query takes its adjacent empty scans.
     """
     params.validate()
+    memo = neighbourhoods(m, params.eps, index)
     labels = np.full(m.T, -1, dtype=np.int64)  # -1 unvisited, -2 noise
-    live = memo = None
-    if params.min_pts == 1:
-        live = np.ones(m.T, dtype=bool)
-        memo = {}
-        index = FingerprintIndex(dict(index.postings), dict(index.posting_ranks))
     next_label = 0
     for start in range(m.T) if order is None else order:
         if labels[start] != -1:
             continue
-        neigh = region_query_arr(start, params.eps, index, m, live, memo)
+        neigh = region_query_arr(start, params.eps, index, m, memo)
         if len(neigh) < params.min_pts:
             labels[start] = -2
             continue
         labels[start] = next_label  # before its own array, so it is not re-queried
-        if live is not None:
-            live[start] = False
         # claimed points still to query; claiming a core point's array when it
         # is queried, not when it is dequeued, keeps the queue within T entries
-        frontier = deque([_claim(labels, live, neigh, next_label)])
+        frontier = deque([_claim(labels, neigh, next_label)])
         while frontier:
             for p in frontier.popleft():
-                p_neigh = region_query_arr(int(p), params.eps, index, m, live, memo)
+                p_neigh = region_query_arr(int(p), params.eps, index, m, memo)
                 if len(p_neigh) >= params.min_pts:
-                    frontier.append(_claim(labels, live, p_neigh, next_label))
+                    frontier.append(_claim(labels, p_neigh, next_label))
         next_label += 1
     noise = labels == -2
     labels[noise] = next_label + np.arange(np.count_nonzero(noise))

@@ -1,4 +1,4 @@
-"""Inverted AP->fingerprint index for eps-radius region queries.
+"""Inverted AP->fingerprint index and eps-neighbourhoods of fingerprints.
 
 Only fingerprints sharing at least one AP with the query can be closer
 than the maximal distance 2, so the index keeps a postings list per AP
@@ -13,16 +13,12 @@ squared ranks are views of the matrix. Empty fingerprints never share
 an AP, yet an empty pair at adjacent stream positions has distance 0;
 the region query finds those pairs from `k == 0`.
 
-`eps_edges` finds every eps-pair of a stream's leading fingerprints at
-once, from sparse products of the matrix's rank CSR, with no index; it
-and the region query compute distances with one formula
-(`_rank_distances`).
-
-A query given a `live` mask skips every fingerprint the mask clears and
-drops those entries from the postings it reads, so later queries on the
-same index never read them again. Only a private copy of an index that
-one caller owns may be queried that way (see `region_query_arr`); every
-other index is left as `build_index` made it.
+Many neighbourhoods at once come from one blocked sparse self-join
+(`_join`), which computes each pair of rows sharing an AP once:
+`eps_edges` joins a stream's leading fingerprints, with no index, and
+`neighbourhoods` joins the first fingerprint of each distinct non-empty
+rank map, against those fingerprints' postings. The join and the
+region query compute distances with one formula (`_rank_distances`).
 """
 
 from __future__ import annotations
@@ -31,19 +27,18 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Set, Tuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, identity
 
 from .errors import ConfigError, IndexRangeError
 from .model import FingerprintMatrix
 
-# query rows per sparse product in `eps_edges`; bounds the product's size
-_JOIN_BLOCK = 128
+# postings entries per block of `_join`'s sparse products; bounds their size
+_JOIN_ENTRIES = 2**17
 
 
 @dataclass
 class FingerprintIndex:
-    """The postings of one fingerprint matrix; only a query with a `live`
-    mask rewrites them."""
+    """The postings of one fingerprint matrix; nothing rewrites them."""
 
     postings: Dict[int, np.ndarray]       # AP id -> ascending fingerprint indices
     posting_ranks: Dict[int, np.ndarray]  # parallel: rank of the AP in that fingerprint
@@ -62,29 +57,15 @@ def build_index(m: FingerprintMatrix) -> FingerprintIndex:
     return FingerprintIndex(postings=postings, posting_ranks=posting_ranks)
 
 
-def _candidate_distances(
-    q: int, index: FingerprintIndex, m: FingerprintMatrix, live: Optional[np.ndarray] = None
-):
-    """All (live) fingerprints sharing an AP with non-empty query q, with
-    exact distances. Returns (candidate indices, distances) as arrays.
-    With `live`, a posting list holding non-live entries is replaced in
-    `index` by its live part."""
+def _candidate_distances(q: int, index: FingerprintIndex, m: FingerprintMatrix):
+    """All fingerprints sharing an AP with non-empty query q, with exact
+    distances. Returns (candidate indices, distances) as arrays."""
     lo, hi = m.indptr[q], m.indptr[q + 1]
-    chunks_idx = []
-    chunks_rc = []
-    for ap in m.ap_ids[lo:hi].tolist():
-        arr = index.postings[ap]
-        rc = index.posting_ranks[ap]
-        if live is not None:
-            keep = live[arr]
-            if not keep.all():
-                arr = index.postings[ap] = arr[keep]
-                rc = index.posting_ranks[ap] = rc[keep]
-        chunks_idx.append(arr)
-        chunks_rc.append(rc)
+    aps = m.ap_ids[lo:hi].tolist()
+    chunks_idx = [index.postings[ap] for ap in aps]
     cand = np.concatenate(chunks_idx)
     rq = np.repeat(m.ranks[lo:hi], [len(a) for a in chunks_idx])
-    rc = np.concatenate(chunks_rc)
+    rc = np.concatenate([index.posting_ranks[ap] for ap in aps])
 
     uniq, inv = np.unique(cand, return_inverse=True)
     nb = len(uniq)
@@ -118,45 +99,123 @@ def _rank_distances(kq, kc, o, s_rq, s_rc, s_cross, sumsq_q, sumsq_c):
     return 6.0 * ssd / np.where(n > 1.0, n * (n * n - 1.0), 1.0)
 
 
-def eps_edges(m: FingerprintMatrix, n: int, eps: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Every pair j < t < n of m's fingerprints within eps, as arrays
-    (head t, tail j) in ascending head order.
+def _join(ranks: csr_matrix, zt: csr_matrix, sumsq: np.ndarray,
+          eps: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Every pair j < t of the n rows of `ranks` within eps, as an int32
+    CSR (indptr, tails): row t's tails are indptr[t]:indptr[t + 1].
 
-    One blocked sparse self-join over the first n fingerprints (an
-    all-pairs similarity search; Bayardo, Ma & Srikant, WWW 2007). With R
-    their n x N rank matrix (m's rank CSR), B its 0/1 pattern and Z = B +
-    iR, a block of heads [lo, hi) gets B[lo:hi] @ Z[:hi].T = o + i s_rc
-    and R[lo:hi] @ Z[:hi].T = s_rq + i s_cross for every pair sharing an
-    AP. No entry is 0, so the two products hold the same pairs in the
-    same order. The pairs t > j go through `_rank_distances`, once each.
-    Adjacent empty fingerprints are at distance 0 and share no AP, so
-    they are added apart.
+    One blocked sparse self-join (an all-pairs similarity search;
+    Bayardo, Ma & Srikant, WWW 2007). `ranks` is the n x N rank matrix R
+    of the rows, `zt` the transpose of Z = B + iR with B R's 0/1 pattern,
+    and `sumsq` each row's sum of squared ranks. A block of heads [lo, hi)
+    gets B[lo:hi] @ Z[:hi].T = o + i s_rc and R[lo:hi] @ Z[:hi].T = s_rq +
+    i s_cross for every pair sharing an AP. No entry is 0, so the two
+    products hold the same pairs in the same order. The pairs t > j go
+    through `_rank_distances`, once each.
     """
-    ranks = csr_matrix((m.ranks, m.ap_ids, m.indptr), shape=(m.T, len(m.aps)))[:n]
+    n = ranks.shape[0]
     pattern = csr_matrix((np.ones_like(ranks.data), ranks.indices, ranks.indptr), ranks.shape)
-    z = csr_matrix((1.0 + 1j * ranks.data, ranks.indices, ranks.indptr), ranks.shape)
-    k = m.k.astype(np.float64)
-    empty = m.k[:n] == 0
-    empty_heads = np.flatnonzero(empty[1:] & empty[:-1]).astype(np.int32) + 1
-    heads, tails = [np.empty(0, np.int32)], [np.empty(0, np.int32)]
-    for lo in range(0, n, _JOIN_BLOCK):
-        hi = min(n, lo + _JOIN_BLOCK)
-        zt = z[:hi].T.tocsr()
-        shared = pattern[lo:hi] @ zt   # o + i s_rc
-        query = ranks[lo:hi] @ zt      # s_rq + i s_cross
+    k = np.diff(ranks.indptr).astype(np.float64)
+    # per head, its postings entries up to itself; a block's products hold
+    # about their sum before duplicates merge, so blocks take at most
+    # _JOIN_ENTRIES of them (one head at least)
+    upto = np.arange(1, zt.nnz + 1) - np.repeat(zt.indptr[:-1], np.diff(zt.indptr))
+    ends = np.concatenate([[0.0], np.cumsum(np.bincount(zt.indices, upto, minlength=n))])
+    counts, tails = [np.zeros(1, np.int64)], [np.empty(0, np.int32)]
+    lo = 0
+    while lo < n:
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] + _JOIN_ENTRIES, "right")) - 1)
+        zt_hi = zt[:, :hi]
+        shared = pattern[lo:hi] @ zt_hi  # o + i s_rc
+        query = ranks[lo:hi] @ zt_hi     # s_rq + i s_cross
         t = np.repeat(np.arange(lo, hi, dtype=np.int32), np.diff(shared.indptr))
         pair = shared.indices < t
         t, j = t[pair], shared.indices[pair]
         shared, query = shared.data[pair], query.data[pair]
         dist = _rank_distances(k[t], k[j], shared.real, query.real, shared.imag, query.imag,
-                               m.rank_sumsq[t], m.rank_sumsq[j])
+                               sumsq[t], sumsq[j])
         close = dist <= eps
-        t, j = t[close], j[close]
-        e = empty_heads[np.searchsorted(empty_heads, lo):np.searchsorted(empty_heads, hi)]
-        at = np.searchsorted(t, e)  # an empty head has no shared-AP pair
-        heads.append(np.insert(t, at, e))
-        tails.append(np.insert(j, at, e - 1))
-    return np.concatenate(heads), np.concatenate(tails)
+        counts.append(np.bincount(t[close] - lo, minlength=hi - lo))
+        tails.append(j[close].astype(np.int32, copy=False))
+        lo = hi
+    return np.cumsum(np.concatenate(counts)), np.concatenate(tails)
+
+
+def _postings_transpose(
+    index: FingerprintIndex, firsts: np.ndarray, m: FingerprintMatrix
+) -> csr_matrix:
+    """`_join`'s Z.T over m's fingerprints `firsts` (ascending; column u is
+    firsts[u]), from their entries in `index`."""
+    col = np.full(m.T, -1, dtype=np.int32)
+    col[firsts] = np.arange(len(firsts), dtype=np.int32)
+    aps = sorted(index.postings)
+    rows = np.concatenate([index.postings[ap] for ap in aps])
+    keep = col[rows] >= 0
+    ap_of = np.repeat(aps, [len(index.postings[ap]) for ap in aps])[keep]
+    ranks = np.concatenate([index.posting_ranks[ap] for ap in aps])[keep]
+    return csr_matrix((1.0 + 1j * ranks, col[rows[keep]],
+                       np.searchsorted(ap_of, np.arange(len(m.aps) + 1))),
+                      shape=(len(m.aps), len(firsts)))
+
+
+def _rank_csr(m: FingerprintMatrix) -> csr_matrix:
+    return csr_matrix((m.ranks, m.ap_ids, m.indptr), shape=(m.T, len(m.aps)))
+
+
+def eps_edges(m: FingerprintMatrix, n: int, eps: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Every pair j < t < n of m's fingerprints within eps, as int32 arrays
+    (head t, tail j) in ascending head order.
+
+    One `_join` over the first n fingerprints. Adjacent empty
+    fingerprints are at distance 0 and share no AP, so they are added
+    apart.
+    """
+    ranks = _rank_csr(m)[:n]
+    zt = csr_matrix((1.0 + 1j * ranks.data, ranks.indices, ranks.indptr), ranks.shape).T.tocsr()
+    indptr, tail = _join(ranks, zt, m.rank_sumsq[:n], eps)
+    head = np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr))
+    empty = m.k[:n] == 0
+    empty_heads = np.flatnonzero(empty[1:] & empty[:-1]).astype(np.int32) + 1
+    at = np.searchsorted(head, empty_heads)  # an empty head has no shared-AP pair
+    return np.insert(head, at, empty_heads), np.insert(tail, at, empty_heads - 1)
+
+
+def neighbourhoods(
+    m: FingerprintMatrix, eps: float, index: FingerprintIndex
+) -> Dict[bytes, np.ndarray]:
+    """Each distinct non-empty rank map's eps-neighbourhood in m, keyed by
+    its `m.rank_keys` entry: the ascending int32 indices of every
+    fingerprint within eps of a fingerprint with that map, itself and its
+    repeats included (`region_query_arr`'s `memo`).
+
+    Equal rank maps are at distance 0 from each other and at the same
+    distance from every other fingerprint, so they share one
+    neighbourhood. One `_join` over the first fingerprint of each of the
+    U distinct maps, whose transposed operand is those fingerprints'
+    postings in `index`, finds the map pairs within eps; each map's
+    neighbourhood is the members of the maps paired with it, and of
+    itself. The neighbourhoods are views of one int32 array, so memory
+    grows with the sum, over distinct maps, of their neighbourhood sizes.
+    """
+    # map ids in order of first occurrence; an empty scan's key is b""
+    ids = {key: u for u, key in enumerate(dict.fromkeys(filter(None, m.rank_keys)))}
+    U = len(ids)
+    if not U:
+        return {}
+    of_scan = np.array([ids.get(key, -1) for key in m.rank_keys], dtype=np.int32)
+    values, firsts = np.unique(of_scan, return_index=True)
+    firsts = firsts[values >= 0]
+    indptr, tails = _join(_rank_csr(m)[firsts], _postings_transpose(index, firsts, m),
+                          m.rank_sumsq[firsts], eps)
+    lower = csr_matrix((np.ones(len(tails), dtype=bool), tails, indptr), shape=(U, U))
+    maps = lower + lower.T + identity(U, dtype=bool, format="csr")
+    nonempty = np.flatnonzero(of_scan >= 0)  # ascending, so each map's members ascend
+    members = csr_matrix((np.ones(len(nonempty), dtype=bool), (of_scan[nonempty], nonempty)),
+                         shape=(U, m.T))
+    neigh = maps @ members
+    neigh.sort_indices()
+    cuts = neigh.indptr.tolist()
+    return {key: neigh.indices[cuts[u]:cuts[u + 1]] for key, u in ids.items()}
 
 
 def region_query_arr(
@@ -164,27 +223,17 @@ def region_query_arr(
     eps: float,
     index: FingerprintIndex,
     m: FingerprintMatrix,
-    live: Optional[np.ndarray] = None,
     memo: Optional[Dict[bytes, np.ndarray]] = None,
 ) -> np.ndarray:
     """Indices of all fingerprints within eps of fingerprint q (array form).
 
-    With a bool mask `live` over the T fingerprints, only live ones are
-    returned, and the non-live entries of the postings this query reads
-    are removed from `index` for good. That is sound only while `live`
-    only ever shrinks across queries on `index` (a fingerprint once
-    cleared is never set again), and only on an index no other caller
-    reads: pass a copy whose `postings` and `posting_ranks` dicts are
-    the caller's own.
-
-    With a dict `memo`, a non-empty query whose rank map an earlier query
-    already had (an equal `m.rank_keys` entry) takes that answer, filtered
-    by the current `live`, and computes no distances. Equal rank maps are
-    at distance 0 from each other and at the same distance from every
-    other fingerprint, so they have the same eps-neighbourhood; and since
-    `live` only shrinks, the earlier answer's live part is the live part
-    of that neighbourhood.
-    One memo serves queries with one eps on one index and one `live`.
+    With a dict `memo`, a non-empty query whose rank map the memo holds
+    (an equal `m.rank_keys` entry) takes that answer and computes no
+    distances; a query whose map it lacks computes its answer and adds
+    it. Equal rank maps are at distance 0 from each other and at the same
+    distance from every other fingerprint, so they have the same
+    eps-neighbourhood. One memo serves queries with one eps on one
+    matrix; `neighbourhoods` fills one for every map at once.
     """
     T = m.T
     if not 0 <= q < T:
@@ -193,16 +242,13 @@ def region_query_arr(
         raise ConfigError(f"eps must be in [0, 2), got {eps}")
     if m.k[q] == 0:
         lo, hi = max(0, q - 1), min(T, q + 2)
-        keep = m.k[lo:hi] == 0
-        if live is not None:
-            keep = keep & live[lo:hi]
-        return np.arange(lo, hi)[keep]
+        return np.arange(lo, hi)[m.k[lo:hi] == 0]
     if memo is not None:
         key = m.rank_keys[q]
         hit = memo.get(key)
         if hit is not None:
-            return hit if live is None else hit[live[hit]]
-    uniq, dist = _candidate_distances(q, index, m, live)
+            return hit
+    uniq, dist = _candidate_distances(q, index, m)
     neigh = uniq[dist <= eps]
     if memo is not None:
         memo[key] = neigh

@@ -28,6 +28,13 @@ from .model import INDOOR, OUTDOOR, ScanRecord
 PROFILE_NORMAL = "normal"
 PROFILE_PARKING = "underground_parking"
 
+# the largest world a spec may ask for: its scans, its building APs (all
+# drawn up front) and the scans of one outdoor walk (whose street APs,
+# about one per two scans, are drawn when the walk starts)
+MAX_SCANS = 2**22
+MAX_BUILDING_APS = 2**20
+MAX_WALK_SCANS = 2**20
+
 
 @dataclass(frozen=True)
 class WorldSpec:
@@ -99,7 +106,16 @@ class WorldSpec:
         if not n_scans >= 1:
             raise ConfigError(f"duration_s {self.duration_s} holds no scan of period "
                               f"{self.scan_period_s} s")
-        last_ms = (int(n_scans) - 1) * self.scan_period_s * 1000 if n_scans < 2**63 else math.inf
+        for size, cap, what in (
+            (n_scans, MAX_SCANS, "scans (duration_s / scan_period_s)"),
+            (self.buildings * self.building_ap_max, MAX_BUILDING_APS,
+             "building APs (buildings * building_ap_max)"),
+            (self.outdoor_dwell_max_s / self.scan_period_s, MAX_WALK_SCANS,
+             "scans per outdoor walk (outdoor_dwell_max_s / scan_period_s)"),
+        ):
+            if size > cap:
+                raise ConfigError(f"a world holds at most {cap} {what}, got {size:g}")
+        last_ms = (int(n_scans) - 1) * self.scan_period_s * 1000
         if not (-2**63 <= self.start_timestamp_ms and last_ms < 2**64
                 and self.start_timestamp_ms + int(last_ms) < 2**63):
             raise ConfigError("every scan's seq and timestamp_ms (start_timestamp_ms plus "

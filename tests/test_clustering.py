@@ -17,7 +17,7 @@ from wifi_inout.clustering import (
     write_assignment,
 )
 from wifi_inout.errors import ConfigError, FormatError, IndexRangeError
-from wifi_inout.fpindex import build_index, region_query_arr
+from wifi_inout.fpindex import build_index, neighbourhoods, region_query_arr
 from wifi_inout.distance import distance
 
 from conftest import mac, make_matrix, random_scan_matrix
@@ -167,18 +167,20 @@ def test_cluster_matches_reference_dbscan(scans, eps, min_pts, permute, rnd):
     st.lists(st.tuples(st.integers(0, 10**6), st.integers(-5, 5), st.booleans()),
              min_size=1, max_size=40),
     st.floats(0.0, 1.5),
+    st.integers(1, 6),
     st.booleans(),
     st.randoms(),
 )
-def test_cluster_matches_reference_dbscan_on_repeated_rank_maps(pool, draws, eps, permute, rnd):
+def test_cluster_matches_reference_dbscan_on_repeated_rank_maps(pool, draws, eps, min_pts,
+                                                                permute, rnd):
     """Scans drawn from a small pool, each shifted by a constant dBm, so
-    rank maps repeat and repeats take a memoised answer at min_pts = 1.
+    rank maps repeat and repeats take a memoised answer at every min_pts.
     Some draws reverse the pool scan's order: same APs, other ranks."""
     m = make_matrix([{ap: (-110 - r if flip else r) + shift
                       for ap, r in pool[i % len(pool)].items()} for i, shift, flip in draws])
     index = build_index(m)
     order = rnd.sample(range(m.T), m.T) if permute else None
-    params = ClusterParams(eps=eps)
+    params = ClusterParams(eps=eps, min_pts=min_pts)
     expected = reference_dbscan(m, params, index, order)
     assert np.array_equal(cluster(m, params, index, order).cluster_of, expected.cluster_of)
 
@@ -229,24 +231,54 @@ def test_each_fingerprint_is_queried_at_most_once(rng, monkeypatch):
     monkeypatch.setattr(clustering, "region_query_arr", counting)
     monkeypatch.setattr(fpindex, "_candidate_distances", computing)
     monkeypatch.setattr(fpindex, "_rank_distances", measuring)
+    maps = [set(m.fingerprints[t].ranks()) for t in firsts]
+    map_pairs = sum(bool(maps[u] & maps[v]) for v in range(len(maps)) for u in range(v))
     aps = [set(fp.ranks()) for fp in m.fingerprints[:150]]
     sharing = sum(bool(aps[q] & aps[c]) for c in range(150) for q in range(c))
     for eps in (0.0, 0.22, 0.5):
         queried.clear()
         computed.clear()
+        pairs.clear()
         cluster(m, ClusterParams(eps=eps), index)
         assert sorted(queried) == list(range(m.T))  # exactly once at min_pts = 1
-        # a repeated rank map takes its first occurrence's answer
-        assert sorted(computed) == firsts
+        # one self-join over the distinct maps: every pair of them sharing
+        # an AP, computed once, and no query computes a distance
+        assert computed == [] and sum(pairs) == map_pairs
         for min_pts in (2, 3, 6):
             queried.clear()
             cluster(m, ClusterParams(eps=eps, min_pts=min_pts), index)
             assert len(queried) == len(set(queried))
+            assert computed == []
         queried.clear()
         pairs.clear()
         list(prefix_partitions(m, ClusterParams(eps=eps), [50, 120, 120, 150]))
         # one self-join: every pair q < c < 150 sharing an AP, computed once
         assert queried == [] and sum(pairs) == sharing
+
+
+_pool_scans = st.lists(
+    st.dictionaries(st.integers(0, 5).map(mac), st.integers(-70, -40), max_size=4),
+    min_size=1, max_size=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pool_scans,
+       st.lists(st.tuples(st.integers(0, 10**6), st.integers(-5, 5)), min_size=1, max_size=40),
+       st.floats(0.0, 1.5))
+def test_neighbourhoods_equal_linear_scan_of_each_first_scan(pool, draws, eps):
+    """On scans that repeat rank maps (a pool scan shifted by a constant
+    dBm; empty pool scans give empty scans), the memo holds every distinct
+    non-empty rank map, each with the ascending int32 indices of the linear
+    scan from that map's first scan."""
+    m = make_matrix([{ap: r + shift for ap, r in pool[i % len(pool)].items()}
+                     for i, shift in draws])
+    memo = neighbourhoods(m, eps, build_index(m))
+    assert memo.keys() == set(m.rank_keys) - {b""}
+    for t in _first_occurrences(m):
+        neigh = memo[m.rank_keys[t]]
+        assert neigh.dtype == np.int32
+        assert neigh.tolist() == sorted(region_scan(m, t, eps))
 
 
 @settings(max_examples=200, deadline=None)

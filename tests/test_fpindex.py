@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -129,66 +127,28 @@ _scans = st.lists(
 @settings(max_examples=300, deadline=None)
 @given(
     _scans,
-    st.floats(0.0, 1.5),
-    st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 3)), max_size=40),
-    st.randoms(),
-)
-def test_live_query_equals_filtered_query(scans, eps, steps, rnd):
-    """Queries with a shrinking `live` mask on one private copy return the
-    unmasked result filtered by `live`; the shared index is left alone."""
-    m = make_matrix(scans)
-    index = build_index(m)
-    before = {ap: a.copy() for ap, a in index.postings.items()}
-    private = replace(index, postings=dict(index.postings),
-                      posting_ranks=dict(index.posting_ranks))
-    live = np.ones(m.T, dtype=bool)
-    settle = rnd.sample(range(m.T), m.T)  # the order fingerprints leave `live`
-    for raw_q, n_settled in steps:
-        live[settle[:n_settled]] = False
-        del settle[:n_settled]
-        q = raw_q % m.T
-        full = region_query_arr(q, eps, index, m)
-        assert np.array_equal(region_query_arr(q, eps, private, m, live), full[live[full]])
-    for ap, a in private.postings.items():
-        assert np.array_equal(private.posting_ranks[ap],
-                              index.posting_ranks[ap][np.isin(index.postings[ap], a)])
-    assert index.postings.keys() == before.keys()
-    assert all(np.array_equal(index.postings[ap], a) for ap, a in before.items())
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    _scans,
     st.lists(st.tuples(st.integers(0, 10**6), st.integers(-5, 5)), min_size=1, max_size=40),
     st.floats(0.0, 1.5),
-    st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 3)), max_size=40),
-    st.randoms(),
+    st.lists(st.integers(0, 10**6), max_size=40),
 )
-def test_memo_query_equals_filtered_query(pool, draws, eps, steps, rnd):
+def test_memo_query_equals_filtered_query(pool, draws, eps, queries):
     """On scans that repeat rank maps (a pool scan shifted by a constant
-    dBm), queries sharing one memo under a shrinking `live` mask return the
-    unmasked result filtered by `live`, and the memo holds one answer per
-    distinct non-empty rank map queried."""
+    dBm), queries sharing one memo return the memo-less result, and the
+    memo holds one answer per distinct non-empty rank map queried."""
     scans = [{ap: r + shift for ap, r in pool[i % len(pool)].items()} for i, shift in draws]
     m = make_matrix(scans)
     index = build_index(m)
-    private = replace(index, postings=dict(index.postings),
-                      posting_ranks=dict(index.posting_ranks))
-    live = np.ones(m.T, dtype=bool)
     memo = {}
-    settle = rnd.sample(range(m.T), m.T)
-    for raw_q, n_settled in steps:
-        live[settle[:n_settled]] = False
-        del settle[:n_settled]
+    for raw_q in queries:
         q = raw_q % m.T
-        full = region_query_arr(q, eps, index, m)
-        assert np.array_equal(region_query_arr(q, eps, private, m, live, memo), full[live[full]])
-    queried = {frozenset(m.fingerprints[raw_q % m.T].ranks().items()) for raw_q, _ in steps}
-    assert memo.keys() == {m.rank_keys[raw_q % m.T] for raw_q, _ in steps} - {b""}
+        assert np.array_equal(region_query_arr(q, eps, index, m, memo),
+                              region_query_arr(q, eps, index, m))
+    queried = {frozenset(m.fingerprints[raw_q % m.T].ranks().items()) for raw_q in queries}
+    assert memo.keys() == {m.rank_keys[raw_q % m.T] for raw_q in queries} - {b""}
     assert len(memo) == len(queried - {frozenset()})
 
 
-def reference_candidate_distances(q, index, m, live=None):
+def reference_candidate_distances(q, index, m):
     """The six-bincount form `_candidate_distances` replaced, kept as its
     reference: the squared ranks of shared APs are summed per candidate and
     enter both the shared and the one-sided terms."""
@@ -196,15 +156,8 @@ def reference_candidate_distances(q, index, m, live=None):
     chunks_idx = []
     chunks_rc = []
     for ap in map(m.aps.index, ranks_q):
-        arr = index.postings[ap]
-        rc = index.posting_ranks[ap]
-        if live is not None:
-            keep = live[arr]
-            if not keep.all():
-                arr = index.postings[ap] = arr[keep]
-                rc = index.posting_ranks[ap] = rc[keep]
-        chunks_idx.append(arr)
-        chunks_rc.append(rc)
+        chunks_idx.append(index.postings[ap])
+        chunks_rc.append(index.posting_ranks[ap])
     cand = np.concatenate(chunks_idx)
     rq = np.repeat(
         np.fromiter(ranks_q.values(), float, len(ranks_q)), [len(a) for a in chunks_idx]
@@ -249,33 +202,18 @@ _wide_scans = st.lists(
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    _wide_scans,
-    st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 3)), max_size=40),
-    st.randoms(),
-)
-def test_candidate_distances_equal_six_bincount_reference(scans, steps, rnd):
-    """Same candidates and bit-equal distances as the reference, on the
-    shared index and on two private copies queried under one shrinking
-    `live` mask."""
+@given(_wide_scans, st.lists(st.integers(0, 10**6), max_size=40))
+def test_candidate_distances_equal_six_bincount_reference(scans, queries):
+    """Same candidates and bit-equal distances as the reference."""
     m = make_matrix(scans)
     index = build_index(m)
-    private = [replace(index, postings=dict(index.postings),
-                       posting_ranks=dict(index.posting_ranks)) for _ in range(2)]
     nonempty = np.flatnonzero(m.k)
-    live = np.ones(m.T, dtype=bool)
-    settle = rnd.sample(range(m.T), m.T)
-    for raw_q, n_settled in steps:
-        if not len(nonempty):
-            break
+    for raw_q in queries if len(nonempty) else []:
         q = int(nonempty[raw_q % len(nonempty)])
-        for ours, theirs, mask in ((index, index, None), (private[0], private[1], live)):
-            got = _candidate_distances(q, ours, m, mask)
-            expected = reference_candidate_distances(q, theirs, m, mask)
-            assert np.array_equal(got[0], expected[0])
-            assert np.array_equal(got[1].view(np.int64), expected[1].view(np.int64))
-        live[settle[:n_settled]] = False
-        del settle[:n_settled]
+        got = _candidate_distances(q, index, m)
+        expected = reference_candidate_distances(q, index, m)
+        assert np.array_equal(got[0], expected[0])
+        assert np.array_equal(got[1].view(np.int64), expected[1].view(np.int64))
 
 
 _tied_scans = st.lists(
@@ -285,15 +223,16 @@ _tied_scans = st.lists(
 
 
 @settings(max_examples=300, deadline=None)
-@given(_tied_scans, st.one_of(st.just(0.0), st.floats(0.0, 1.5)), st.integers(1, 3),
+@given(_tied_scans, st.one_of(st.just(0.0), st.floats(0.0, 1.5)), st.integers(1, 40),
        st.data())
 def test_eps_edges_equal_brute_force_pairs(scans, eps, block, data):
     """The self-join finds exactly the pairs j < t < n within eps, in
-    ascending t, at any block size; few RSSI levels make ties common."""
+    ascending t, at any block size (one head per block at the smallest);
+    few RSSI levels make ties common."""
     m = make_matrix(scans)
     n = data.draw(st.integers(0, m.T))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fpindex, "_JOIN_BLOCK", block)
+        mp.setattr(fpindex, "_JOIN_ENTRIES", block)
         head, tail = eps_edges(m, n, eps)
     assert np.all(np.diff(head) >= 0)
     expected = {(t, j) for t in range(n) for j in region_scan(m, t, eps) if j < t}

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -6,6 +7,9 @@ from wifi_inout.cli import main
 from wifi_inout.errors import ConfigError
 from wifi_inout.model import INDOOR, OUTDOOR, ingest, record_to_json
 from wifi_inout.synth import (
+    MAX_BUILDING_APS,
+    MAX_SCANS,
+    MAX_WALK_SCANS,
     PROFILE_PARKING,
     WorldSpec,
     generate,
@@ -171,3 +175,34 @@ def test_world_stamps_may_reach_the_int64_edge(tmp_path):
         WorldSpec(duration_s=60.0, start_timestamp_ms=2**63 - 57_000).validate()
     one = WorldSpec(duration_s=3.0, start_timestamp_ms=-2**63)
     assert len(generate(one)) == 1
+
+
+@pytest.mark.parametrize("spec", [
+    "duration_s = 60\nbuilding_ap_min = 1\nbuilding_ap_max = 9223372036854775807\n",
+    "duration_s = 60\nindoor_dwell_min_s = 0\nindoor_dwell_max_s = 0\n"
+    "outdoor_dwell_min_s = 1e300\noutdoor_dwell_max_s = 1e300\n",
+], ids=["building-ap-max-2**63-1", "outdoor-dwell-1e300"])
+def test_synth_refuses_a_world_too_large_to_generate(tmp_path, capsys, spec):
+    # synth used to build one building's 2**63 - 1 APs, or the first
+    # walk's ~1.7e299 street APs, until it was stopped
+    path = tmp_path / "world.cfg"
+    path.write_text(spec, encoding="utf-8")
+    with pytest.raises(ConfigError, match="at most"):
+        worldspec_from_file(path)
+    start = time.perf_counter()
+    assert main(["synth", "--spec", str(path), "--out", str(tmp_path / "s.scans")]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "error:" in err and "at most" in err and "Traceback" not in err
+    assert not (tmp_path / "s.scans").exists()
+
+
+def test_largest_allowed_world_sizes_are_accepted():
+    WorldSpec(duration_s=3.0 * MAX_SCANS).validate()
+    WorldSpec(duration_s=60.0, buildings=1, building_ap_max=MAX_BUILDING_APS).validate()
+    WorldSpec(duration_s=60.0, outdoor_dwell_max_s=3.0 * MAX_WALK_SCANS).validate()
+    for over in (dict(duration_s=3.0 * MAX_SCANS + 3.0),
+                 dict(buildings=2, building_ap_max=MAX_BUILDING_APS // 2 + 1),
+                 dict(outdoor_dwell_max_s=3.0 * MAX_WALK_SCANS + 0.5)):
+        with pytest.raises(ConfigError, match="at most"):
+            WorldSpec(**{"duration_s": 60.0, **over}).validate()
