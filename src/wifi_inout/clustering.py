@@ -24,7 +24,8 @@ prefix (`prefix_partitions`; Ester et al., VLDB 1998), and a minimum
 spanning forest of them, weighted by the later scan, spans the same
 components at every prefix with far fewer edges. The eps-edges come
 from the same self-join over the stream's scans (`fpindex.eps_edges`),
-which needs no index; only `cluster` reads one.
+which builds its own operand. Only `cluster` reads an index, whose one
+array, the transposed rank matrix, is its join's operand.
 
 A partition is stored once, as its label vector `cluster_of`; cluster
 sizes and member lists are derived from it.

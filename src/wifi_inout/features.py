@@ -41,6 +41,10 @@ FAMILIES = ("neighbors", "power", "aps", "fps")
 # BFS sources per block in extract_features; bounds its frontier matrices
 _SOURCE_BLOCK = 256
 
+# the largest hop bound of neighborhood_feature_grid, whose table has
+# 4 (max_d + 1) columns; a larger request is refused before anything is built
+MAX_GRID_D = 2048
+
 
 @dataclass(frozen=True)
 class FeatureRanges:
@@ -150,8 +154,8 @@ def neighborhood_feature_grid(
 ) -> FeatureTable:
     """All four families at every hop bound 0..max_d, for the selection
     regression."""
-    if max_d < 0:
-        raise ConfigError(f"max_d must be >= 0, got {max_d}")
+    if not 0 <= max_d <= MAX_GRID_D:
+        raise ConfigError(f"max_d must be >= 0 and <= {MAX_GRID_D}, got {max_d}")
     full = FeatureRanges(
         neighbors=(0, max_d), power=(0, max_d), aps=(0, max_d), fps=(0, max_d)
     )

@@ -1,29 +1,31 @@
-"""Inverted AP->fingerprint index and eps-neighbourhoods of fingerprints.
+"""Eps-neighbourhoods of fingerprints, from one transposed rank matrix.
 
 Only fingerprints sharing at least one AP with the query can be closer
-than the maximal distance 2, so the index keeps a postings list per AP
-(keyed by its id in the matrix's name table), each entry paired with the
-AP's rank in that fingerprint: the CSC transpose of the matrix's rank
-CSR. A region query unions the postings of the APs in the query's row,
-then computes the exact rank distance for every candidate in one
-vectorized pass.
+than the maximal distance 2. The index holds one thing: `zt`, the N x T
+transpose of Z = B + iR, where R is the matrix's rank CSR and B its 0/1
+pattern. Row a of `zt` holds AP a's readings in scan order, each stored
+as 1 + i*rank. For rank rows Q, the sparse products B_Q @ zt = o + i s_rc
+and R_Q @ zt = s_rq + i s_cross hold, for every fingerprint sharing an
+AP with a row of Q, the shared-AP count and the shared-AP rank sums
+from which one formula (`_rank_distances`) gives the exact distance.
 
-The index holds only the postings; per-scan AP counts `k` and sums of
-squared ranks are views of the matrix. Empty fingerprints never share
-an AP, yet an empty pair at adjacent stream positions has distance 0;
-the region query finds those pairs from `k == 0`.
+A region query is that product for one row. Many neighbourhoods at once
+come from one blocked sparse self-join (`_join`), which computes each
+pair of rows sharing an AP once: `eps_edges` joins a stream's leading
+fingerprints, building its operand with no index, and `neighbourhoods`
+joins the first fingerprint of each distinct non-empty rank map against
+those fingerprints' columns of `zt`.
 
-Many neighbourhoods at once come from one blocked sparse self-join
-(`_join`), which computes each pair of rows sharing an AP once:
-`eps_edges` joins a stream's leading fingerprints, with no index, and
-`neighbourhoods` joins the first fingerprint of each distinct non-empty
-rank map, against those fingerprints' postings. The join and the
-region query compute distances with one formula (`_rank_distances`).
+Per-scan AP counts `k` and sums of squared ranks are views of the
+matrix. Empty fingerprints never share an AP, yet an empty pair at
+adjacent stream positions has distance 0; the region query finds those
+pairs from `k == 0`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Optional, Set, Tuple
 
 import numpy as np
@@ -32,50 +34,34 @@ from scipy.sparse import csr_matrix, identity
 from .errors import ConfigError, IndexRangeError
 from .model import FingerprintMatrix
 
-# postings entries per block of `_join`'s sparse products; bounds their size
+# `zt` entries per block of `_join`'s sparse products; bounds their size
 _JOIN_ENTRIES = 2**17
 
 
 @dataclass
 class FingerprintIndex:
-    """The postings of one fingerprint matrix; nothing rewrites them."""
+    """Z.T of one fingerprint matrix, the operand its joins multiply by;
+    nothing rewrites it."""
 
-    postings: Dict[int, np.ndarray]       # AP id -> ascending fingerprint indices
-    posting_ranks: Dict[int, np.ndarray]  # parallel: rank of the AP in that fingerprint
+    zt: csr_matrix  # N x T: row a is AP a's readings in ascending scan order, each 1 + i*rank
+
+    @cached_property
+    def postings(self) -> Dict[int, np.ndarray]:
+        """AP id -> ascending fingerprint indices, for each AP read at least
+        once; a view no pipeline stage reads"""
+        rows = np.split(self.zt.indices, self.zt.indptr[1:-1])
+        return {ap: r for ap, r in enumerate(rows) if len(r)}
+
+
+def _transpose(ranks: csr_matrix) -> csr_matrix:
+    """Z.T for the rank rows `ranks`, with Z = B + iR and B their 0/1 pattern."""
+    return csr_matrix((1.0 + 1j * ranks.data, ranks.indices, ranks.indptr),
+                      ranks.shape).T.tocsr()
 
 
 def build_index(m: FingerprintMatrix) -> FingerprintIndex:
-    """The CSC transpose of m's rank CSR: each AP's readings, in row order."""
-    by_ap = np.argsort(m.ap_ids, kind="stable")  # stable: each AP's rows stay ascending
-    bounds = np.searchsorted(m.ap_ids[by_ap], np.arange(len(m.aps) + 1)).tolist()
-    rows, ranks = m.rows[by_ap], m.ranks[by_ap]
-    postings: Dict[int, np.ndarray] = {}
-    posting_ranks: Dict[int, np.ndarray] = {}
-    for ap, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        if hi > lo:  # a prefix's name table may hold APs it never read
-            postings[ap], posting_ranks[ap] = rows[lo:hi], ranks[lo:hi]
-    return FingerprintIndex(postings=postings, posting_ranks=posting_ranks)
-
-
-def _candidate_distances(q: int, index: FingerprintIndex, m: FingerprintMatrix):
-    """All fingerprints sharing an AP with non-empty query q, with exact
-    distances. Returns (candidate indices, distances) as arrays."""
-    lo, hi = m.indptr[q], m.indptr[q + 1]
-    aps = m.ap_ids[lo:hi].tolist()
-    chunks_idx = [index.postings[ap] for ap in aps]
-    cand = np.concatenate(chunks_idx)
-    rq = np.repeat(m.ranks[lo:hi], [len(a) for a in chunks_idx])
-    rc = np.concatenate([index.posting_ranks[ap] for ap in aps])
-
-    uniq, inv = np.unique(cand, return_inverse=True)
-    nb = len(uniq)
-    o = np.bincount(inv, minlength=nb).astype(np.float64)
-    s_rq = np.bincount(inv, weights=rq, minlength=nb)
-    s_rc = np.bincount(inv, weights=rc, minlength=nb)
-    s_cross = np.bincount(inv, weights=rq * rc, minlength=nb)
-    dist = _rank_distances(float(m.k[q]), m.k[uniq].astype(np.float64), o,
-                           s_rq, s_rc, s_cross, m.rank_sumsq[q], m.rank_sumsq[uniq])
-    return uniq, dist
+    """Z.T of m's rank CSR: each AP's readings, in scan order."""
+    return FingerprintIndex(zt=_transpose(_rank_csr(m)))
 
 
 def _rank_distances(kq, kc, o, s_rq, s_rc, s_cross, sumsq_q, sumsq_c):
@@ -106,7 +92,7 @@ def _join(ranks: csr_matrix, zt: csr_matrix, sumsq: np.ndarray,
 
     One blocked sparse self-join (an all-pairs similarity search;
     Bayardo, Ma & Srikant, WWW 2007). `ranks` is the n x N rank matrix R
-    of the rows, `zt` the transpose of Z = B + iR with B R's 0/1 pattern,
+    of the rows, `zt` the transpose of Z = B + iR (`_transpose(ranks)`),
     and `sumsq` each row's sum of squared ranks. A block of heads [lo, hi)
     gets B[lo:hi] @ Z[:hi].T = o + i s_rc and R[lo:hi] @ Z[:hi].T = s_rq +
     i s_cross for every pair sharing an AP. No entry is 0, so the two
@@ -116,7 +102,7 @@ def _join(ranks: csr_matrix, zt: csr_matrix, sumsq: np.ndarray,
     n = ranks.shape[0]
     pattern = csr_matrix((np.ones_like(ranks.data), ranks.indices, ranks.indptr), ranks.shape)
     k = np.diff(ranks.indptr).astype(np.float64)
-    # per head, its postings entries up to itself; a block's products hold
+    # per head, its `zt` entries up to itself; a block's products hold
     # about their sum before duplicates merge, so blocks take at most
     # _JOIN_ENTRIES of them (one head at least)
     upto = np.arange(1, zt.nnz + 1) - np.repeat(zt.indptr[:-1], np.diff(zt.indptr))
@@ -141,23 +127,6 @@ def _join(ranks: csr_matrix, zt: csr_matrix, sumsq: np.ndarray,
     return np.cumsum(np.concatenate(counts)), np.concatenate(tails)
 
 
-def _postings_transpose(
-    index: FingerprintIndex, firsts: np.ndarray, m: FingerprintMatrix
-) -> csr_matrix:
-    """`_join`'s Z.T over m's fingerprints `firsts` (ascending; column u is
-    firsts[u]), from their entries in `index`."""
-    col = np.full(m.T, -1, dtype=np.int32)
-    col[firsts] = np.arange(len(firsts), dtype=np.int32)
-    aps = sorted(index.postings)
-    rows = np.concatenate([index.postings[ap] for ap in aps])
-    keep = col[rows] >= 0
-    ap_of = np.repeat(aps, [len(index.postings[ap]) for ap in aps])[keep]
-    ranks = np.concatenate([index.posting_ranks[ap] for ap in aps])[keep]
-    return csr_matrix((1.0 + 1j * ranks, col[rows[keep]],
-                       np.searchsorted(ap_of, np.arange(len(m.aps) + 1))),
-                      shape=(len(m.aps), len(firsts)))
-
-
 def _rank_csr(m: FingerprintMatrix) -> csr_matrix:
     return csr_matrix((m.ranks, m.ap_ids, m.indptr), shape=(m.T, len(m.aps)))
 
@@ -171,8 +140,7 @@ def eps_edges(m: FingerprintMatrix, n: int, eps: float) -> Tuple[np.ndarray, np.
     apart.
     """
     ranks = _rank_csr(m)[:n]
-    zt = csr_matrix((1.0 + 1j * ranks.data, ranks.indices, ranks.indptr), ranks.shape).T.tocsr()
-    indptr, tail = _join(ranks, zt, m.rank_sumsq[:n], eps)
+    indptr, tail = _join(ranks, _transpose(ranks), m.rank_sumsq[:n], eps)
     head = np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr))
     empty = m.k[:n] == 0
     empty_heads = np.flatnonzero(empty[1:] & empty[:-1]).astype(np.int32) + 1
@@ -192,7 +160,7 @@ def neighbourhoods(
     distance from every other fingerprint, so they share one
     neighbourhood. One `_join` over the first fingerprint of each of the
     U distinct maps, whose transposed operand is those fingerprints'
-    postings in `index`, finds the map pairs within eps; each map's
+    columns of `index.zt`, finds the map pairs within eps; each map's
     neighbourhood is the members of the maps paired with it, and of
     itself. The neighbourhoods are views of one int32 array, so memory
     grows with the sum, over distinct maps, of their neighbourhood sizes.
@@ -205,8 +173,7 @@ def neighbourhoods(
     of_scan = np.array([ids.get(key, -1) for key in m.rank_keys], dtype=np.int32)
     values, firsts = np.unique(of_scan, return_index=True)
     firsts = firsts[values >= 0]
-    indptr, tails = _join(_rank_csr(m)[firsts], _postings_transpose(index, firsts, m),
-                          m.rank_sumsq[firsts], eps)
+    indptr, tails = _join(_rank_csr(m)[firsts], index.zt[:, firsts], m.rank_sumsq[firsts], eps)
     lower = csr_matrix((np.ones(len(tails), dtype=bool), tails, indptr), shape=(U, U))
     maps = lower + lower.T + identity(U, dtype=bool, format="csr")
     nonempty = np.flatnonzero(of_scan >= 0)  # ascending, so each map's members ascend
@@ -225,15 +192,16 @@ def region_query_arr(
     m: FingerprintMatrix,
     memo: Optional[Dict[bytes, np.ndarray]] = None,
 ) -> np.ndarray:
-    """Indices of all fingerprints within eps of fingerprint q (array form).
+    """Indices of all fingerprints within eps of fingerprint q (array form),
+    ascending.
 
-    With a dict `memo`, a non-empty query whose rank map the memo holds
-    (an equal `m.rank_keys` entry) takes that answer and computes no
-    distances; a query whose map it lacks computes its answer and adds
-    it. Equal rank maps are at distance 0 from each other and at the same
-    distance from every other fingerprint, so they have the same
-    eps-neighbourhood. One memo serves queries with one eps on one
-    matrix; `neighbourhoods` fills one for every map at once.
+    A non-empty query is a one-row join: its pattern row B_q and rank row
+    R_q, stacked, times `index.zt` give every fingerprint sharing an AP
+    with it, with the sums `_rank_distances` takes. No entry of either
+    product row is 0, so both list the same fingerprints in the same
+    order, as in `_join`. With a `memo` from `neighbourhoods`
+    (same eps, same matrix), a non-empty query returns its rank map's
+    entry and computes no distances.
     """
     T = m.T
     if not 0 <= q < T:
@@ -244,15 +212,18 @@ def region_query_arr(
         lo, hi = max(0, q - 1), min(T, q + 2)
         return np.arange(lo, hi)[m.k[lo:hi] == 0]
     if memo is not None:
-        key = m.rank_keys[q]
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-    uniq, dist = _candidate_distances(q, index, m)
-    neigh = uniq[dist <= eps]
-    if memo is not None:
-        memo[key] = neigh
-    return neigh
+        return memo[m.rank_keys[q]]
+    lo, hi = m.indptr[q], m.indptr[q + 1]
+    rows = csr_matrix((np.concatenate([np.ones(hi - lo), m.ranks[lo:hi]]),
+                       np.tile(m.ap_ids[lo:hi], 2), [0, hi - lo, 2 * (hi - lo)]),
+                      shape=(2, len(m.aps)))
+    both = rows @ index.zt  # row 0: o + i s_rc, row 1: s_rq + i s_cross
+    cut = both.indptr[1]
+    c, shared, query = both.indices[:cut], both.data[:cut], both.data[cut:]
+    dist = _rank_distances(float(m.k[q]), m.k[c].astype(np.float64), shared.real,
+                           query.real, shared.imag, query.imag,
+                           m.rank_sumsq[q], m.rank_sumsq[c])
+    return np.sort(c[dist <= eps])
 
 
 def region_query(

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import time
 from datetime import timedelta
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from wifi_inout.cli import _read_predictions, _write_predictions, main
 from wifi_inout.clustering import ClusterAssignment
 from wifi_inout.errors import FormatError
+from wifi_inout.features import MAX_GRID_D
 from wifi_inout.learner import Prediction
 from wifi_inout.model import INDOOR, OUTDOOR, read_scan_log, write_scan_log
 
@@ -251,6 +253,19 @@ def test_select_dims_negative_max_d_exits_one(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "error: max_d must be >= 0" in captured.err and "Traceback" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("max_d", [10**6, 2**62])
+def test_select_dims_huge_max_d_exits_one_at_once(tmp_path, capsys, max_d):
+    """A hop grid past MAX_GRID_D is refused before any column is built."""
+    scans = _tiny_scans(tmp_path)
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert main(["select-dims", "--scans", str(scans), "--max-d", str(max_d)]) == 1
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert f"error: max_d must be >= 0 and <= {MAX_GRID_D}, got {max_d}" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_warmup_minutes_below_one_exits_one(tmp_path, worlds, capsys):
@@ -922,15 +937,6 @@ def test_mutated_features_csv_trains_or_exits_one(fuzz_dir, edits):
          "--config", str(fuzz_dir / "small.cfg")])
 
 
-@settings(max_examples=150, deadline=timedelta(seconds=5))
-@given(edits=_edits)
-def test_mutated_predictions_evaluate_or_exit_one(fuzz_dir, edits):
-    preds = fuzz_dir / "p.jsonl"
-    preds.write_bytes(_mutate((fuzz_dir / "s.preds").read_bytes(), edits))
-    assert _exits_zero_or_one_with_error_line(
-        ["eval", "--preds", str(preds), "--scans", str(fuzz_dir / "s.scans")])
-
-
 # --- fuzz: mutated scan logs, assignments, models, configs and world specs ---
 
 # a 60 s world that walks in and out, so its nodes carry both labels
@@ -943,13 +949,6 @@ _FUZZ_WORLD = (
     b"start_timestamp_ms = 1600000000000\n"
 )
 _FUZZ_CONFIG = b"eps = 0.3\nmin_pts = 2\nvariant = graph\nmax_gap_ms = 9000\nseed = 5\n"
-
-# world-spec keys that set how many scans, buildings or APs a world has: a
-# huge value there asks for a huge world, which is not a malformed file
-_SIZE_KEYS = {"duration_s", "scan_period_s", "buildings", "building_ap_min",
-              "building_ap_max", "outdoor_visible_min", "outdoor_visible_max",
-              "indoor_dwell_min_s", "indoor_dwell_max_s", "outdoor_dwell_min_s",
-              "outdoor_dwell_max_s"}
 
 # value edits: (kind, line, path, choice); each index wraps around what it picks
 _value_edits = st.tuples(st.sampled_from(["swap", "huge", "nonfinite", "dupkey"]),
@@ -1008,11 +1007,10 @@ _KV_VALUES["dupkey"] = _KV_VALUES["swap"] + _KV_VALUES["huge"] + _KV_VALUES["non
 
 
 def _edit_kv(data: bytes, kind, line, choice) -> bytes:
-    """One value edit of a key = value file, never of a size key: a value
-    replaced, or its line repeated with a new value."""
+    """One value edit of a key = value file: a value replaced, or its line
+    repeated with a new value."""
     lines = data.decode("utf-8", "surrogateescape").splitlines()
-    keyed = [i for i, ln in enumerate(lines)
-             if "=" in ln and ln.split("=", 1)[0].strip() not in _SIZE_KEYS]
+    keyed = [i for i, ln in enumerate(lines) if "=" in ln]
     if not keyed:
         return data
     i = keyed[line % len(keyed)]
@@ -1071,6 +1069,15 @@ def test_mutated_scan_log_ingests_or_exits_one(fuzz_world, edits):
     scans = fuzz_world / "m.scans"
     scans.write_bytes(_mutate_file((fuzz_world / "w.scans").read_bytes(), edits, kv=False))
     assert _exits_zero_or_one_with_error_line(["ingest", "--scans", str(scans)])
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=5))
+@given(edits=_file_edits)
+def test_mutated_predictions_evaluate_or_exit_one(fuzz_dir, edits):
+    preds = fuzz_dir / "p.jsonl"
+    preds.write_bytes(_mutate_file((fuzz_dir / "s.preds").read_bytes(), edits, kv=False))
+    assert _exits_zero_or_one_with_error_line(
+        ["eval", "--preds", str(preds), "--scans", str(fuzz_dir / "s.scans")])
 
 
 @settings(max_examples=300, deadline=timedelta(seconds=5))

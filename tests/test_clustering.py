@@ -212,24 +212,18 @@ def test_each_fingerprint_is_queried_at_most_once(rng, monkeypatch):
     n_empty = sum(fp.is_empty() for fp in m.fingerprints)
     assert n_empty > 0 and 60 < m.T - n_empty - len(firsts)  # empties and repeats occur
     index = build_index(m)
-    queried, computed, pairs = [], [], []
+    queried, pairs = [], []
 
     def counting(q, *args):
         queried.append(int(q))
         return region_query_arr(q, *args)
 
-    def computing(q, *args):
-        computed.append(int(q))
-        return candidate_distances(q, *args)
-
     def measuring(kq, kc, o, *args):
         pairs.append(len(o))
         return rank_distances(kq, kc, o, *args)
 
-    candidate_distances = fpindex._candidate_distances
     rank_distances = fpindex._rank_distances
     monkeypatch.setattr(clustering, "region_query_arr", counting)
-    monkeypatch.setattr(fpindex, "_candidate_distances", computing)
     monkeypatch.setattr(fpindex, "_rank_distances", measuring)
     maps = [set(m.fingerprints[t].ranks()) for t in firsts]
     map_pairs = sum(bool(maps[u] & maps[v]) for v in range(len(maps)) for u in range(v))
@@ -237,18 +231,19 @@ def test_each_fingerprint_is_queried_at_most_once(rng, monkeypatch):
     sharing = sum(bool(aps[q] & aps[c]) for c in range(150) for q in range(c))
     for eps in (0.0, 0.22, 0.5):
         queried.clear()
-        computed.clear()
         pairs.clear()
         cluster(m, ClusterParams(eps=eps), index)
         assert sorted(queried) == list(range(m.T))  # exactly once at min_pts = 1
         # one self-join over the distinct maps: every pair of them sharing
-        # an AP, computed once, and no query computes a distance
-        assert computed == [] and sum(pairs) == map_pairs
+        # an AP, computed once; every distance goes through _rank_distances,
+        # so no query computes one
+        assert sum(pairs) == map_pairs
         for min_pts in (2, 3, 6):
             queried.clear()
+            pairs.clear()
             cluster(m, ClusterParams(eps=eps, min_pts=min_pts), index)
             assert len(queried) == len(set(queried))
-            assert computed == []
+            assert sum(pairs) == map_pairs
         queried.clear()
         pairs.clear()
         list(prefix_partitions(m, ClusterParams(eps=eps), [50, 120, 120, 150]))
@@ -382,13 +377,12 @@ def test_prefix_partitions_reject_bad_arguments(rng):
 def test_cluster_leaves_caller_index_unchanged(rng):
     m = random_scan_matrix(rng, 200, ap_pool=20, empty_prob=0.1)
     index = build_index(m)
-    postings, ranks = dict(index.postings), dict(index.posting_ranks)
-    copies = {ap: (a.copy(), ranks[ap].copy()) for ap, a in postings.items()}
+    zt = index.zt
+    copies = [a.copy() for a in (zt.indptr, zt.indices, zt.data)]
     cluster(m, ClusterParams(eps=0.5), index)
-    assert index.postings.keys() == postings.keys()
-    for ap, (a, r) in copies.items():
-        assert index.postings[ap] is postings[ap] and index.posting_ranks[ap] is ranks[ap]
-        assert np.array_equal(postings[ap], a) and np.array_equal(ranks[ap], r)
+    assert index.zt is zt
+    for a, copy in zip((zt.indptr, zt.indices, zt.data), copies):
+        assert np.array_equal(a, copy)
 
 
 def test_repeated_cluster_on_one_index(rng):

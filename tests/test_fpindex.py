@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from wifi_inout import fpindex
 from wifi_inout.errors import ConfigError, IndexRangeError
 from wifi_inout.fpindex import (
-    _candidate_distances, build_index, eps_edges, region_query, region_query_arr,
+    build_index, eps_edges, neighbourhoods, region_query, region_query_arr,
 )
 from wifi_inout.distance import distance
 
@@ -25,12 +25,13 @@ def test_postings_cover_shared_ap():
     assert list(index.postings[m.aps.index(B)]) == [1]
 
 
-def test_posting_ranks_entry():
+def test_index_entry_is_one_plus_i_rank():
     m = make_matrix([{A: -40, B: -60}])
     index = build_index(m)
     assert m.fingerprints[0].ranks() == {A: 1.0, B: 2.0}
-    assert list(index.posting_ranks[m.aps.index(A)]) == [1.0]
-    assert list(index.posting_ranks[m.aps.index(B)]) == [2.0]
+    assert index.zt.shape == (2, 1)
+    assert index.zt[m.aps.index(A)].toarray().tolist() == [[1.0 + 1.0j]]
+    assert index.zt[m.aps.index(B)].toarray().tolist() == [[1.0 + 2.0j]]
     assert m.k[0] == 2
 
 
@@ -80,10 +81,14 @@ def test_self_membership(rng):
 def test_index_invariants(rng):
     m = random_scan_matrix(rng, 120, empty_prob=0.15)
     index = build_index(m)
-    for ap, lst in index.postings.items():
-        assert all(a < b for a, b in zip(lst, lst[1:]))  # strictly ascending
-        for i, r in zip(lst, index.posting_ranks[ap]):
-            assert m.fingerprints[i].ranks()[m.aps[ap]] == r
+    zt = index.zt
+    assert zt.shape == (len(m.aps), m.T) and zt.nnz == int(m.k.sum())
+    for ap in range(len(m.aps)):
+        lo, hi = zt.indptr[ap], zt.indptr[ap + 1]
+        rows = zt.indices[lo:hi]
+        assert all(a < b for a, b in zip(rows, rows[1:]))  # strictly ascending
+        for i, z in zip(rows, zt.data[lo:hi]):
+            assert z == 1.0 + 1j * m.fingerprints[i].ranks()[m.aps[ap]]
     for i, fp in enumerate(m.fingerprints):
         ranks = fp.ranks()
         assert set(ranks) == set(fp.powers)
@@ -133,36 +138,33 @@ _scans = st.lists(
 )
 def test_memo_query_equals_filtered_query(pool, draws, eps, queries):
     """On scans that repeat rank maps (a pool scan shifted by a constant
-    dBm), queries sharing one memo return the memo-less result, and the
-    memo holds one answer per distinct non-empty rank map queried."""
+    dBm), a query answered from the `neighbourhoods` memo returns the
+    memo-less result."""
     scans = [{ap: r + shift for ap, r in pool[i % len(pool)].items()} for i, shift in draws]
     m = make_matrix(scans)
     index = build_index(m)
-    memo = {}
+    memo = neighbourhoods(m, eps, index)
     for raw_q in queries:
         q = raw_q % m.T
         assert np.array_equal(region_query_arr(q, eps, index, m, memo),
                               region_query_arr(q, eps, index, m))
-    queried = {frozenset(m.fingerprints[raw_q % m.T].ranks().items()) for raw_q in queries}
-    assert memo.keys() == {m.rank_keys[raw_q % m.T] for raw_q in queries} - {b""}
-    assert len(memo) == len(queried - {frozenset()})
 
 
-def reference_candidate_distances(q, index, m):
-    """The six-bincount form `_candidate_distances` replaced, kept as its
-    reference: the squared ranks of shared APs are summed per candidate and
-    enter both the shared and the one-sided terms."""
-    ranks_q = m.fingerprints[q].ranks()
-    chunks_idx = []
-    chunks_rc = []
-    for ap in map(m.aps.index, ranks_q):
-        chunks_idx.append(index.postings[ap])
-        chunks_rc.append(index.posting_ranks[ap])
-    cand = np.concatenate(chunks_idx)
-    rq = np.repeat(
-        np.fromiter(ranks_q.values(), float, len(ranks_q)), [len(a) for a in chunks_idx]
-    )
-    rc = np.concatenate(chunks_rc)
+def reference_distances(q, m):
+    """Every fingerprint sharing an AP with non-empty q, and its distance,
+    in the six-bincount form kept as the reference for the index's one-row
+    join: ranks come from `m.fingerprints`, and the squared ranks of shared
+    APs are summed per candidate and enter both the shared and the
+    one-sided terms."""
+    ranks = [fp.ranks() for fp in m.fingerprints]
+    ranks_q = ranks[q]
+    cand, rq, rc = [], [], []
+    for c, ranks_c in enumerate(ranks):
+        for ap in ranks_q.keys() & ranks_c.keys():
+            cand.append(c)
+            rq.append(ranks_q[ap])
+            rc.append(ranks_c[ap])
+    rq, rc = np.array(rq), np.array(rc)
 
     uniq, inv = np.unique(cand, return_inverse=True)
     nb = len(uniq)
@@ -173,8 +175,9 @@ def reference_candidate_distances(q, index, m):
     s_rc2 = np.bincount(inv, weights=rc * rc, minlength=nb)
     s_cross = np.bincount(inv, weights=rq * rc, minlength=nb)
 
-    kq = float(m.k[q])
-    kc = m.k[uniq].astype(np.float64)
+    kq = float(len(ranks_q))
+    kc = np.array([len(ranks[c]) for c in uniq], dtype=np.float64)
+    sumsq = np.array([sum(r * r for r in ranks[c].values()) for c in uniq])
     n = kq + kc - o
     mq = kq - o
     mc = kc - o
@@ -184,8 +187,9 @@ def reference_candidate_distances(q, index, m):
     sc_sum = kc * (kc + 1.0) / 2.0
 
     shared = s_rq2 + s_rc2 - 2.0 * s_cross
-    q_only = (m.rank_sumsq[q] - s_rq2) - 2.0 * a_c * (sq_sum - s_rq) + mq * a_c * a_c
-    c_only = (m.rank_sumsq[uniq] - s_rc2) - 2.0 * a_q * (sc_sum - s_rc) + mc * a_q * a_q
+    q_only = (sum(r * r for r in ranks_q.values()) - s_rq2) - 2.0 * a_c * (sq_sum - s_rq) \
+        + mq * a_c * a_c
+    c_only = (sumsq - s_rc2) - 2.0 * a_q * (sc_sum - s_rc) + mc * a_q * a_q
     ssd = shared + q_only + c_only
 
     dist = np.zeros(nb)
@@ -203,17 +207,19 @@ _wide_scans = st.lists(
 
 @settings(max_examples=300, deadline=None)
 @given(_wide_scans, st.lists(st.integers(0, 10**6), max_size=40))
-def test_candidate_distances_equal_six_bincount_reference(scans, queries):
-    """Same candidates and bit-equal distances as the reference."""
+def test_region_query_equals_six_bincount_reference_at_each_distance(scans, queries):
+    """With eps at each distance below 2 the reference finds, and just
+    below it, a query returns exactly the reference's candidates within
+    eps: a distance off by one bit either way crosses one of them."""
     m = make_matrix(scans)
     index = build_index(m)
     nonempty = np.flatnonzero(m.k)
     for raw_q in queries if len(nonempty) else []:
         q = int(nonempty[raw_q % len(nonempty)])
-        got = _candidate_distances(q, index, m)
-        expected = reference_candidate_distances(q, index, m)
-        assert np.array_equal(got[0], expected[0])
-        assert np.array_equal(got[1].view(np.int64), expected[1].view(np.int64))
+        uniq, dist = reference_distances(q, m)
+        for d in np.unique(dist[dist < 2.0]):
+            for eps in {float(d), float(np.nextafter(d, 0.0))}:
+                assert np.array_equal(region_query_arr(q, eps, index, m), uniq[dist <= eps])
 
 
 _tied_scans = st.lists(
