@@ -125,7 +125,7 @@ def cmd_features(args) -> int:
     assignment = read_assignment(args.clusters)
     stages = pipeline.stages(assignment, m, cfg)
     g, table = stages.graph, stages.features
-    codes = label_nodes(assignment, m.labels, cfg.tie_rule)
+    codes = label_nodes(assignment, m.labels)
     write_features_csv(table, g.node_weight, codes, args.out)
     n_labeled = int(np.count_nonzero(codes >= 0))
     log(f"nodes={g.n_nodes} edges={g.n_edges} features={len(table.names)} "
@@ -139,7 +139,7 @@ def cmd_select_dims(args) -> int:
     assignment = pipeline.partition(m, cfg)
     g = pipeline.graph(assignment, m, cfg)
     table = neighborhood_feature_grid(g, m, max_d=args.max_d)
-    report = select_neighborhood_sizes(table, label_nodes(assignment, m.labels, cfg.tie_rule))
+    report = select_neighborhood_sizes(table, label_nodes(assignment, m.labels))
     print("feature            coef        t         p      selected")
     for e in report.entries:
         if e.constant or e.aliased:

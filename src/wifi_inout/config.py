@@ -1,8 +1,11 @@
 """Pipeline configuration and the flat key = value config file format.
 
-Defaults reproduce the reference setup: eps 0.22, min_pts 1,
-classification threshold 0.5, indoor-favoring tie breaks, and the
-learner defaults of `learner.RF_DEFAULTS` and `learner.GBM_DEFAULTS`.
+A config holds the settings a run varies. Defaults reproduce the
+reference setup: eps 0.22, min_pts 1, classification threshold 0.5.
+The learners run at `learner.RF_DEFAULTS` and `learner.GBM_DEFAULTS`
+but for the ensemble size (at most `MAX_ENSEMBLE`), and node ties go
+to indoor; a library caller sets the rest through `learner.train` and
+`learner.label_nodes`.
 The feature hop ranges are the paper's, fixed: `DEFAULT_RANGES`
 (neighbors 2..6; power, aps and fps 0..4) for the graph variant and
 the hop-0 `BASELINE_RANGES` for the clusters and fingerprints
@@ -11,17 +14,17 @@ baselines. `select-dims` is how those sizes are assessed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional, get_args, get_type_hints
 
 from .errors import ConfigError, FormatError
 from .clustering import ClusterParams
 from .features import BASELINE_RANGES, DEFAULT_RANGES, FeatureRanges
-from .learner import GBM, GBM_DEFAULTS, RANDOM_FOREST, RF_DEFAULTS, TIE_RULES
+from .learner import GBM, GBM_DEFAULTS, RANDOM_FOREST, RF_DEFAULTS
 
 VARIANTS = ("graph", "clusters", "fingerprints")
 LEARNERS = ("rf", "gbm")
+MAX_ENSEMBLE = 4096  # trees (rf) or rounds (gbm); a fit grows one tree per unit
 
 
 def parse_kv_file(path) -> Dict[str, str]:
@@ -70,37 +73,25 @@ class PipelineConfig:
     learner: str = "rf"            # rf | gbm
     seed: int = 0
     threshold: float = 0.5
-    tie_rule: str = "indoor"       # indoor | drop
     variant: str = "graph"         # graph | clusters | fingerprints
-    # learner hyperparameters; min_leaf serves both learners
     n_trees: int = RF_DEFAULTS["n_trees"]
-    rf_max_features: Optional[int] = RF_DEFAULTS["max_features"]
-    rf_max_depth: Optional[int] = RF_DEFAULTS["max_depth"]
-    min_leaf: int = RF_DEFAULTS["min_leaf"]
     gbm_rounds: int = GBM_DEFAULTS["n_rounds"]
-    gbm_depth: int = GBM_DEFAULTS["depth"]
-    learning_rate: float = GBM_DEFAULTS["learning_rate"]
 
     def validate(self) -> "PipelineConfig":
         ClusterParams(self.eps, self.min_pts).validate()
-        for name, lo in (
-            ("seed", 0), ("max_gap_ms", 0),
-            ("n_trees", 1), ("rf_max_features", 1), ("rf_max_depth", 1),
-            ("min_leaf", 1), ("gbm_rounds", 1), ("gbm_depth", 1),
-        ):
+        for name, lo in (("seed", 0), ("max_gap_ms", 0), ("n_trees", 1), ("gbm_rounds", 1)):
             value = getattr(self, name)
             if value is not None and value < lo:  # None: an unset Optional
                 raise ConfigError(f"{name} must be >= {lo}, got {value}")
         if self.seed > 2**63 - 1:  # model files hold the seed as an int64
             raise ConfigError(f"seed must be <= 2**63 - 1, got {self.seed}")
-        if not 0.0 < self.learning_rate < math.inf:
-            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        for name in ("n_trees", "gbm_rounds"):
+            if getattr(self, name) > MAX_ENSEMBLE:
+                raise ConfigError(f"{name} must be <= {MAX_ENSEMBLE}, got {getattr(self, name)}")
         if self.learner not in LEARNERS:
             raise ConfigError(f"learner must be rf or gbm, got {self.learner!r}")
         if not 0.0 <= self.threshold <= 1.0:
             raise ConfigError(f"threshold must be in [0, 1], got {self.threshold}")
-        if self.tie_rule not in TIE_RULES:
-            raise ConfigError(f"tie_rule must be indoor or drop, got {self.tie_rule!r}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         return self
@@ -109,19 +100,10 @@ class PipelineConfig:
         return RANDOM_FOREST if self.learner == "rf" else GBM
 
     def hyperparameters(self) -> Dict:
+        """The learner's defaults at the configured ensemble size."""
         if self.learner == "rf":
-            return {
-                "n_trees": self.n_trees,
-                "max_features": self.rf_max_features,
-                "min_leaf": self.min_leaf,
-                "max_depth": self.rf_max_depth,
-            }
-        return {
-            "n_rounds": self.gbm_rounds,
-            "depth": self.gbm_depth,
-            "learning_rate": self.learning_rate,
-            "min_leaf": self.min_leaf,
-        }
+            return {**RF_DEFAULTS, "n_trees": self.n_trees}
+        return {**GBM_DEFAULTS, "n_rounds": self.gbm_rounds}
 
     def feature_ranges(self) -> FeatureRanges:
         return DEFAULT_RANGES if self.variant == "graph" else BASELINE_RANGES

@@ -214,8 +214,7 @@ def location_cross_validation(m: FingerprintMatrix, config) -> XvalReport:
     pooled_scores = np.zeros(m.T)
     for loc in locations:
         held = at == loc
-        node_labels = label_nodes(stages.assignment, np.where(held, None, labels),
-                                  config.tie_rule)
+        node_labels = label_nodes(stages.assignment, np.where(held, None, labels))
         try:
             model = train_model(stages.features, node_labels, sizes, config)
         except DegenerateLabelsError as e:

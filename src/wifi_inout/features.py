@@ -189,14 +189,10 @@ class FeatureSelectionReport:
         return {f: sorted(ds) for f, ds in out.items()}
 
 
-def select_neighborhood_sizes(
-    table: FeatureTable,
-    labels: np.ndarray,
-    alpha: float = 0.05,
-) -> FeatureSelectionReport:
+def select_neighborhood_sizes(table: FeatureTable, labels: np.ndarray) -> FeatureSelectionReport:
     """OLS of the label code (`label_codes`: indoor = 1, outdoor = 0) on
     every (family, d) feature, over the nodes whose code is >= 0; a
-    feature is selected when its two-sided t-test p-value is <= alpha.
+    feature is selected when its two-sided t-test p-value is <= 0.05.
     Constant columns are dropped before the fit and reported unselected.
 
     A column that is a linear combination of others (a hop bound past
@@ -248,7 +244,7 @@ def select_neighborhood_sizes(
             coef, t_val, p_val = stats[j]
             entries.append(
                 SelectionEntry(name, family, int(d_str), coef, t_val, p_val,
-                               selected=p_val <= alpha)
+                               selected=p_val <= 0.05)
             )
         else:
             entries.append(

@@ -152,7 +152,7 @@ def _stack(
 def fit(m: FingerprintMatrix, config: PipelineConfig) -> Tuple[Model, Stages]:
     """Cluster, label nodes by majority vote, and train the ensemble."""
     stages = build_stages(m, config)
-    labels = label_nodes(stages.assignment, m.labels, config.tie_rule)
+    labels = label_nodes(stages.assignment, m.labels)
     return train_model(stages.features, labels, stages.assignment.sizes(), config), stages
 
 

@@ -383,6 +383,24 @@ def test_hop_range_key_exits_one(tmp_path, capsys, key):
     assert not (tmp_path / "run.model.json").exists()
 
 
+@pytest.mark.parametrize("key, value", [("rf_max_features", "4"), ("rf_max_depth", "4"),
+                                        ("min_leaf", "1"), ("gbm_depth", "3"),
+                                        ("learning_rate", "0.1"), ("tie_rule", "indoor")])
+def test_learner_setting_key_exits_one(tmp_path, capsys, key, value):
+    # the learners run at their defaults but for the ensemble size, and ties
+    # go to indoor: no config key sets the rest
+    features = tmp_path / "f.csv"
+    features.write_bytes(_SMALL_FEATURES)
+    cfg = tmp_path / "learner.cfg"
+    cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+    model = tmp_path / "m.json"
+    assert main(["train", "--features", str(features), "--config", str(cfg),
+                 "--out", str(model)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: unknown PipelineConfig key {key!r}" in err and "Traceback" not in err
+    assert not model.exists()
+
+
 @pytest.mark.parametrize("line", ["eps = none", "seed = none", "seed = 3.5"])
 def test_bad_config_value_exits_one(tmp_path, capsys, line):
     scans = _tiny_scans(tmp_path)
@@ -873,7 +891,7 @@ def test_non_utf8_byte_exits_one(tmp_path, capsys, every_format, fmt):
     assert "error:" in err and "Traceback" not in err
 
 
-# --- fuzz: mutated features CSVs and predictions files -----------------------
+# --- fuzz: byte edits, and a small features CSV and predictions file --------
 
 _SMALL_FEATURES = (
     b"neighbors_d0,power_d0,weight,label\n"
@@ -884,7 +902,6 @@ _SMALL_FEATURES = (
 # byte edits: (kind, position, xor mask); positions wrap around the data
 _byte_edit = st.tuples(st.sampled_from(["flip", "truncate", "nul", "ff", "dup"]),
                        st.integers(0, 2**16), st.integers(1, 255))
-_edits = st.lists(_byte_edit, min_size=1, max_size=3)
 
 
 def _mutate(data: bytes, edits) -> bytes:
@@ -927,17 +944,7 @@ def _exits_zero_or_one_with_error_line(argv) -> bool:
     return status == 0 or (status == 1 and any(line.startswith("error:") for line in lines))
 
 
-@settings(max_examples=150, deadline=timedelta(seconds=5))
-@given(edits=_edits)
-def test_mutated_features_csv_trains_or_exits_one(fuzz_dir, edits):
-    features = fuzz_dir / "f.csv"
-    features.write_bytes(_mutate(_SMALL_FEATURES, edits))
-    assert _exits_zero_or_one_with_error_line(
-        ["train", "--features", str(features), "--out", str(fuzz_dir / "m.json"),
-         "--config", str(fuzz_dir / "small.cfg")])
-
-
-# --- fuzz: mutated scan logs, assignments, models, configs and world specs ---
+# --- fuzz: byte and value edits of every input format -----------------------
 
 # a 60 s world that walks in and out, so its nodes carry both labels
 _FUZZ_WORLD = (
@@ -949,6 +956,7 @@ _FUZZ_WORLD = (
     b"start_timestamp_ms = 1600000000000\n"
 )
 _FUZZ_CONFIG = b"eps = 0.3\nmin_pts = 2\nvariant = graph\nmax_gap_ms = 9000\nseed = 5\n"
+_FUZZ_LEARNER_CONFIG = b"learner = %s\nn_trees = 5\ngbm_rounds = 5\nseed = 5\n"
 
 # value edits: (kind, line, path, choice); each index wraps around what it picks
 _value_edits = st.tuples(st.sampled_from(["swap", "huge", "nonfinite", "dupkey"]),
@@ -1023,14 +1031,40 @@ def _edit_kv(data: bytes, kind, line, choice) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8", "surrogateescape")
 
 
-def _mutate_file(data: bytes, edits, kv: bool) -> bytes:
-    """Apply byte edits (`_mutate`) and value edits in turn; a value edit of
-    a line that an earlier edit left unparsable changes nothing."""
+_CSV_VALUES = {
+    "swap": ["abc", "true", "", "indoor", "1.5"],
+    "huge": ["1e400", "-1e400", "1e308", str(2**63), "9" * 5000],
+    "nonfinite": ["nan", "inf", "-inf"],
+}
+
+
+def _edit_csv(data: bytes, kind, row, column, choice) -> bytes:
+    """One value edit of a CSV body row: a cell replaced, or (dupkey) the
+    row repeated."""
+    lines = data.decode("utf-8", "surrogateescape").splitlines()
+    if len(lines) < 2:
+        return data
+    k = 1 + row % (len(lines) - 1)
+    if kind == "dupkey":
+        lines.insert(k, lines[k])
+    else:
+        cells = lines[k].split(",")
+        cells[column % len(cells)] = _CSV_VALUES[kind][choice % len(_CSV_VALUES[kind])]
+        lines[k] = ",".join(cells)
+    return ("\n".join(lines) + "\n").encode("utf-8", "surrogateescape")
+
+
+def _mutate_file(data: bytes, edits, fmt: str) -> bytes:
+    """Apply byte edits (`_mutate`) and value edits of a `fmt` file ("jsonl",
+    "kv" or "csv") in turn; a value edit of a line that an earlier edit
+    left unparsable changes nothing."""
     for edit in edits:
         if len(edit) == 3:
             data = _mutate(data, [edit])
-        elif kv:
+        elif fmt == "kv":
             data = _edit_kv(data, edit[0], edit[1], edit[3])
+        elif fmt == "csv":
+            data = _edit_csv(data, *edit)
         else:
             lines = data.splitlines(keepends=True)
             if lines:
@@ -1067,7 +1101,7 @@ def fuzz_world(tmp_path_factory):
 @given(edits=_file_edits)
 def test_mutated_scan_log_ingests_or_exits_one(fuzz_world, edits):
     scans = fuzz_world / "m.scans"
-    scans.write_bytes(_mutate_file((fuzz_world / "w.scans").read_bytes(), edits, kv=False))
+    scans.write_bytes(_mutate_file((fuzz_world / "w.scans").read_bytes(), edits, "jsonl"))
     assert _exits_zero_or_one_with_error_line(["ingest", "--scans", str(scans)])
 
 
@@ -1075,17 +1109,26 @@ def test_mutated_scan_log_ingests_or_exits_one(fuzz_world, edits):
 @given(edits=_file_edits)
 def test_mutated_predictions_evaluate_or_exit_one(fuzz_dir, edits):
     preds = fuzz_dir / "p.jsonl"
-    preds.write_bytes(_mutate_file((fuzz_dir / "s.preds").read_bytes(), edits, kv=False))
+    preds.write_bytes(_mutate_file((fuzz_dir / "s.preds").read_bytes(), edits, "jsonl"))
     assert _exits_zero_or_one_with_error_line(
         ["eval", "--preds", str(preds), "--scans", str(fuzz_dir / "s.scans")])
 
 
 @settings(max_examples=300, deadline=timedelta(seconds=5))
 @given(edits=_file_edits)
+def test_mutated_features_csv_trains_or_exits_one(fuzz_dir, edits):
+    features = fuzz_dir / "f.csv"
+    features.write_bytes(_mutate_file(_SMALL_FEATURES, edits, "csv"))
+    assert _exits_zero_or_one_with_error_line(
+        ["train", "--features", str(features), "--out", str(fuzz_dir / "m.json"),
+         "--config", str(fuzz_dir / "small.cfg")])
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=5))
+@given(edits=_file_edits)
 def test_mutated_assignment_gives_features_or_exits_one(fuzz_world, edits):
     clusters = fuzz_world / "m.clusters"
-    clusters.write_bytes(_mutate_file((fuzz_world / "w.clusters").read_bytes(), edits,
-                                      kv=False))
+    clusters.write_bytes(_mutate_file((fuzz_world / "w.clusters").read_bytes(), edits, "jsonl"))
     assert _exits_zero_or_one_with_error_line(
         ["features", "--scans", str(fuzz_world / "w.scans"), "--clusters", str(clusters),
          "--out", str(fuzz_world / "m.csv")])
@@ -1096,7 +1139,7 @@ def test_mutated_assignment_gives_features_or_exits_one(fuzz_world, edits):
 def test_mutated_model_predicts_or_exits_one(fuzz_world, learner, edits):
     model = fuzz_world / "m.json"
     model.write_bytes(_mutate_file((fuzz_world / f"{learner}.json").read_bytes(), edits,
-                                   kv=False))
+                                   "jsonl"))
     preds = fuzz_world / "m.preds"
     preds.unlink(missing_ok=True)
     assert _exits_zero_or_one_with_error_line(
@@ -1111,16 +1154,27 @@ def test_mutated_model_predicts_or_exits_one(fuzz_world, learner, edits):
 @given(edits=_file_edits)
 def test_mutated_config_clusters_or_exits_one(fuzz_world, edits):
     config = fuzz_world / "m.cfg"
-    config.write_bytes(_mutate_file(_FUZZ_CONFIG, edits, kv=True))
+    config.write_bytes(_mutate_file(_FUZZ_CONFIG, edits, "kv"))
     assert _exits_zero_or_one_with_error_line(
         ["cluster", "--scans", str(fuzz_world / "w.scans"), "--config", str(config),
          "--out", str(fuzz_world / "m.clusters.out")])
 
 
 @settings(max_examples=300, deadline=timedelta(seconds=5))
+@given(learner=st.sampled_from(["rf", "gbm"]), edits=_file_edits)
+def test_mutated_config_trains_or_exits_one(fuzz_world, learner, edits):
+    # the learner settings: an edit that asks for 10**30 trees must exit 1
+    config = fuzz_world / "m.train.cfg"
+    config.write_bytes(_mutate_file(_FUZZ_LEARNER_CONFIG % learner.encode(), edits, "kv"))
+    assert _exits_zero_or_one_with_error_line(
+        ["train", "--features", str(fuzz_world / "w.csv"), "--config", str(config),
+         "--out", str(fuzz_world / "m.train.json")])
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=5))
 @given(edits=_file_edits)
 def test_mutated_world_spec_synthesizes_or_exits_one(fuzz_world, edits):
     spec = fuzz_world / "m.world"
-    spec.write_bytes(_mutate_file(_FUZZ_WORLD, edits, kv=True))
+    spec.write_bytes(_mutate_file(_FUZZ_WORLD, edits, "kv"))
     assert _exits_zero_or_one_with_error_line(
         ["synth", "--spec", str(spec), "--out", str(fuzz_world / "m.world.scans")])

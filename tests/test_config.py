@@ -33,16 +33,11 @@ def test_every_default_written_out_loads_back(tmp_path, cls, from_file):
 
 @pytest.mark.parametrize("raw", ["none", "null", "None", ""])
 def test_optional_keys_accept_none(raw):
-    base = PipelineConfig(rf_max_features=3, rf_max_depth=4, max_gap_ms=5)
-    cfg = config_with_overrides(
-        base, {"rf_max_features": raw, "rf_max_depth": raw, "max_gap_ms": raw}
-    )
-    assert cfg.rf_max_features is None
-    assert cfg.rf_max_depth is None
+    cfg = config_with_overrides(PipelineConfig(max_gap_ms=5), {"max_gap_ms": raw})
     assert cfg.max_gap_ms is None
 
 
-@pytest.mark.parametrize("key", ["eps", "seed", "n_trees", "learning_rate"])
+@pytest.mark.parametrize("key", ["eps", "seed", "n_trees", "threshold"])
 @pytest.mark.parametrize("raw", ["none", "null", ""])
 def test_required_keys_reject_none(key, raw):
     with pytest.raises(ConfigError):
@@ -54,7 +49,7 @@ def test_worldspec_keys_reject_none(tmp_path):
         worldspec_from_file(_write(tmp_path, "duration_s = none\n"))
 
 
-@pytest.mark.parametrize("key", ["n_trees", "seed", "rf_max_depth", "buildings"])
+@pytest.mark.parametrize("key", ["n_trees", "seed", "max_gap_ms", "buildings"])
 def test_int_key_rejects_fraction(key):
     cls = WorldSpec if key == "buildings" else PipelineConfig
     with pytest.raises(ConfigError):
@@ -62,9 +57,9 @@ def test_int_key_rejects_fraction(key):
 
 
 def test_values_take_declared_types():
-    raw = {"eps": "0.3", "min_pts": "2", "variant": "clusters", "rf_max_features": "4"}
+    raw = {"eps": "0.3", "min_pts": "2", "variant": "clusters", "gbm_rounds": "4"}
     out = parse_fields(PipelineConfig, raw)
-    assert out == {"eps": 0.3, "min_pts": 2, "variant": "clusters", "rf_max_features": 4}
+    assert out == {"eps": 0.3, "min_pts": 2, "variant": "clusters", "gbm_rounds": 4}
     assert type(out["eps"]) is float and type(out["min_pts"]) is int
 
 
@@ -79,14 +74,11 @@ def test_unknown_key_rejected():
     ("min_pts", "0", "1"),
     ("n_trees", "0", "1"),
     ("gbm_rounds", "0", "1"),
-    ("gbm_depth", "0", "1"),
-    ("min_leaf", "0", "1"),
-    ("learning_rate", "0", "0.001"),
-    ("learning_rate", "-0.1", "2.0"),
-    ("learning_rate", "nan", "0.5"),
-    ("learning_rate", "inf", "0.5"),
-    ("rf_max_features", "0", "1"),
-    ("rf_max_depth", "0", "1"),
+    # one tree per unit of ensemble size: 10**12 of them would never finish
+    ("n_trees", "4097", "4096"),
+    ("n_trees", str(2**63), "4096"),
+    ("gbm_rounds", "4097", "4096"),
+    ("gbm_rounds", str(2**63), "4096"),
     ("max_gap_ms", "-1", "0"),
 ])
 def test_validate_range_checks(key, bad, ok):
@@ -101,7 +93,7 @@ def test_learner_defaults_come_from_the_learner_tables():
 
 
 def test_hop_ranges_are_fixed_per_variant():
-    assert len(fields(PipelineConfig)) == 15
+    assert len(fields(PipelineConfig)) == 9
     assert PipelineConfig().feature_ranges() == DEFAULT_RANGES
     for variant in ("clusters", "fingerprints"):
         assert PipelineConfig(variant=variant).feature_ranges() == BASELINE_RANGES

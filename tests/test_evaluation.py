@@ -302,7 +302,7 @@ def test_xval_fold_matches_manual_fold():
     stages = build_stages(m, cfg)
     train_labels = [lab if m.locations[i] != loc else None
                     for i, lab in enumerate(m.labels)]
-    node_labels = label_nodes(stages.assignment, train_labels, cfg.tie_rule)
+    node_labels = label_nodes(stages.assignment, train_labels)
     model = train(stages.features, node_labels, stages.assignment.sizes(),
                   kind=cfg.learner_kind(), seed=cfg.seed,
                   hyperparameters=cfg.hyperparameters())
@@ -322,7 +322,7 @@ def test_xval_heldout_labels_cannot_poison_training():
         stages = build_stages(matrix, cfg)
         train_labels = [lab if matrix.locations[i] != loc else None
                         for i, lab in enumerate(matrix.labels)]
-        node_labels = label_nodes(stages.assignment, train_labels, cfg.tie_rule)
+        node_labels = label_nodes(stages.assignment, train_labels)
         return train(stages.features, node_labels, stages.assignment.sizes(),
                      kind=cfg.learner_kind(), seed=cfg.seed,
                      hyperparameters=cfg.hyperparameters())
@@ -356,7 +356,7 @@ def reference_xval(m, config):
             lab if m.locations[i] != loc else None
             for i, lab in enumerate(m.labels)
         ]
-        node_labels = label_nodes(stages.assignment, train_labels, config.tie_rule)
+        node_labels = label_nodes(stages.assignment, train_labels)
         try:
             model = pipeline.train_model(stages.features, node_labels,
                                          stages.assignment.sizes(), config)
