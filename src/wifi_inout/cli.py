@@ -29,7 +29,7 @@ from .features import (
     select_neighborhood_sizes,
     write_features_csv,
 )
-from .graph import write_graph
+from .graph import build_graph, write_graph
 from .learner import Model, Prediction, label_nodes
 from .model import INDOOR, OUTDOOR, ingest, label_codes, read_scan_log, write_scan_log
 from .synth import WorldSpec, generate, worldspec_from_file
@@ -113,7 +113,7 @@ def cmd_graph(args) -> int:
     cfg = _load_config(args)
     m = _load_matrix(args.scans)
     assignment = read_assignment(args.clusters)
-    g = pipeline.graph(assignment, m, cfg)
+    g = build_graph(assignment, m, cfg.max_gap_ms)
     write_graph(g, f"{args.out}.edges", f"{args.out}.nodes")
     log(f"graph nodes={g.n_nodes} edges={g.n_edges} -> {args.out}.edges / {args.out}.nodes")
     return 0
@@ -137,7 +137,7 @@ def cmd_select_dims(args) -> int:
     cfg = _load_config(args)
     m = _load_matrix(args.scans)
     assignment = pipeline.partition(m, cfg)
-    g = pipeline.graph(assignment, m, cfg)
+    g = build_graph(assignment, m, cfg.max_gap_ms)
     table = neighborhood_feature_grid(g, m, max_d=args.max_d)
     report = select_neighborhood_sizes(table, label_nodes(assignment, m.labels))
     print("feature            coef        t         p      selected")

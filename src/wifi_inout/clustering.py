@@ -186,9 +186,16 @@ def singleton_assignment(m: FingerprintMatrix) -> ClusterAssignment:
     return ClusterAssignment(cluster_of=np.arange(m.T, dtype=np.int64))
 
 
-def check_coverage(assignment: ClusterAssignment, m: FingerprintMatrix) -> None:
-    if len(assignment.cluster_of) != m.T or np.any(assignment.cluster_of < 0):
+def check_coverage(
+    assignment: ClusterAssignment, m: FingerprintMatrix, scan: Optional[np.ndarray] = None
+) -> None:
+    """Every row has a cluster and stands for a scan of m: row i for scan
+    scan[i], by default scan i."""
+    rows = m.T if scan is None else len(scan)
+    if len(assignment.cluster_of) != rows or np.any(assignment.cluster_of < 0):
         raise CoverageError("assignment does not cover every fingerprint")
+    if scan is not None and np.any((scan < 0) | (scan >= m.T)):
+        raise CoverageError(f"scan maps a row outside the scans [0, {m.T})")
 
 
 # --- assignment file format: one {"seq": i, "cluster": c} object per line ---

@@ -3,9 +3,9 @@
 A config holds the settings a run varies. Defaults reproduce the
 reference setup: eps 0.22, min_pts 1, classification threshold 0.5.
 The learners run at `learner.RF_DEFAULTS` and `learner.GBM_DEFAULTS`
-but for the ensemble size (at most `MAX_ENSEMBLE`), and node ties go
-to indoor; a library caller sets the rest through `learner.train` and
-`learner.label_nodes`.
+but for the ensemble size (at most `MAX_ENSEMBLE`); a library caller
+sets the rest through `learner.train`. Node ties go to indoor
+(`learner.label_nodes`).
 The feature hop ranges are the paper's, fixed: `DEFAULT_RANGES`
 (neighbors 2..6; power, aps and fps 0..4) for the graph variant and
 the hop-0 `BASELINE_RANGES` for the clusters and fingerprints

@@ -9,11 +9,10 @@ are fixed for the pipeline; a library caller may pass other
 `FeatureRanges` to `extract_features`, and the regression tool below
 (`select-dims`) assesses the sizes over a wider grid.
 
-Features come in two steps: `node_totals` sums each node's size,
-readings and dBm, and `neighborhood_features`, the one blocked BFS,
-pools those totals over each node's hop-d balls. `extract_features`
-runs both on one graph; the warm-up runs them on a chunk of stacked
-prefixes (`pipeline.prefix_stages`).
+`extract_features` sums each node's size, readings and dBm, then pools
+those totals over each node's hop-d balls in one blocked BFS. Its row
+map `scan` is `build_graph`'s, so the warm-up runs it on a chunk of
+stacked prefixes (`pipeline.prefix_stages`) as on one stream.
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ import numpy as np
 from scipy.linalg import qr
 from scipy.stats import t as student_t
 
+from .clustering import ClusterAssignment, check_coverage
 from .errors import (
     ConfigError, DegenerateLabelsError, FormatError, RankDeficiencyError, first_non_int64,
 )
@@ -94,8 +94,10 @@ def extract_features(
     g: TransitionGraph,
     m: FingerprintMatrix,
     ranges: FeatureRanges = DEFAULT_RANGES,
+    scan: Optional[np.ndarray] = None,
 ) -> FeatureTable:
-    """One feature row per graph node.
+    """One feature row per graph node; row i of g.cluster_of stands for
+    scan scan[i] of m (by default, scan i), as in `build_graph`.
 
     For each hop bound d: neighbors = |N_x(d)|; power = mean dBm over all
     readings of all fingerprints in the pooled neighborhood clusters
@@ -103,38 +105,23 @@ def extract_features(
     the sentinel); aps = total readings / total fingerprints (empties
     count in the denominator); fps = mean cluster size.
 
-    The node totals come from `node_totals`, the rows from
-    `neighborhood_features`.
+    With V = [1, size, readings, dBm sum] per node, all nodes are BFS
+    sources, _SOURCE_BLOCK at a time: `bfs_layers` gives the frontiers
+    F_0 = I[block] and F_d = (F_{d-1} A) > F_{d-1} + F_{d-2}, and hop d
+    totals S_d = F_0 V + ... + F_d V. A source's frontiers are disjoint,
+    so a block's hold at most _SOURCE_BLOCK x n_nodes entries. S adds
+    only integers (ingest keeps integer dBm), exactly in float64 in any
+    order, so the rows equal a per-node BFS's bit for bit, and a
+    block-diagonal graph of stacked prefixes gives each prefix the rows
+    its own graph would.
     """
-    dbm_sum = np.bincount(m.rows, m.dbm, m.T)
-    return neighborhood_features(g, node_totals(g.cluster_of, g.n_nodes, m.k, dbm_sum), ranges)
-
-
-def node_totals(cluster_of: np.ndarray, n_nodes: int, k: np.ndarray,
-                dbm_sum: np.ndarray) -> np.ndarray:
-    """V = [1, size, readings, dBm sum] per node, from each row's node
-    `cluster_of`, AP count `k` and dBm sum."""
-    return np.column_stack([np.ones(n_nodes), np.bincount(cluster_of, minlength=n_nodes),
-                            np.bincount(cluster_of, k, n_nodes),
-                            np.bincount(cluster_of, dbm_sum, n_nodes)])
-
-
-def neighborhood_features(
-    g: TransitionGraph, V: np.ndarray, ranges: FeatureRanges = DEFAULT_RANGES
-) -> FeatureTable:
-    """The feature rows of every node of g from its node totals V
-    (`node_totals`).
-
-    All nodes are BFS sources, _SOURCE_BLOCK at a time: `bfs_layers`
-    gives the frontiers F_0 = I[block] and F_d = (F_{d-1} A) > F_{d-1} +
-    F_{d-2}, and hop d totals S_d = F_0 V + ... + F_d V. A source's
-    frontiers are disjoint, so a block's hold at most _SOURCE_BLOCK x
-    n_nodes entries. S adds only integers (ingest keeps integer dBm),
-    exactly in float64 in any order, so the rows equal a per-node BFS's
-    bit for bit, and a block-diagonal graph of stacked prefixes gives
-    each prefix the rows its own graph would.
-    """
+    check_coverage(ClusterAssignment(g.cluster_of), m, scan)
+    k, dbm_sum = m.k, np.bincount(m.rows, m.dbm, m.T)
+    if scan is not None:
+        k, dbm_sum = k[scan], dbm_sum[scan]
     n = g.n_nodes
+    V = np.column_stack([np.ones(n), np.bincount(g.cluster_of, minlength=n),
+                         np.bincount(g.cluster_of, k, n), np.bincount(g.cluster_of, dbm_sum, n)])
     fam, hop = zip(*ranges.columns())
     rows = np.empty((n, len(hop)))
     for lo in range(0, n, _SOURCE_BLOCK):

@@ -7,12 +7,12 @@ dwells condense into heavy, densely connected nodes while outdoor walks
 string out into chains, which is what the node features pick up.
 
 A graph is stored once, as the partition's labels and a symmetric boolean
-CSR adjacency. `transition_graph` builds it from the labels and a flag
-per row saying whether the row may join the one before it, so the
-partitions of several prefixes stacked one after another give one
-block-diagonal graph. `bfs_layers`, the one BFS, walks it in sparse algebra for a
-block of sources at once (Kepner & Gilbert, SIAM 2011); the features and
-`neighborhood` both call it."""
+CSR adjacency. `build_graph` takes an optional row map `scan`: row i of
+the assignment stands for scan `scan[i]`, and a row of scan 0 joins no
+row before it, so the partitions of several prefixes stacked one after
+another give one block-diagonal graph. `bfs_layers`, the one BFS, walks
+it in sparse algebra for a block of sources at once (Kepner & Gilbert,
+SIAM 2011); the features and `neighborhood` both call it."""
 
 from __future__ import annotations
 
@@ -72,37 +72,27 @@ def build_graph(
     assignment: ClusterAssignment,
     m: FingerprintMatrix,
     max_gap_ms: Optional[int] = None,
+    scan: Optional[np.ndarray] = None,
 ) -> TransitionGraph:
-    """Edges come exactly from consecutive-index fingerprint pairs that sit
-    in distinct clusters. With max_gap_ms set, pairs separated by a longer
-    timestamp gap contribute nothing (guards multi-hour collection holes;
-    off by default)."""
-    check_coverage(assignment, m)
-    return transition_graph(assignment.cluster_of, assignment.n_clusters,
-                            scan_joins(m.timestamps_ms, max_gap_ms))
-
-
-def scan_joins(timestamps_ms: Sequence[int], max_gap_ms: Optional[int] = None) -> np.ndarray:
-    """Per scan, whether an edge may join it to the scan before it: every
-    scan but the first, within max_gap_ms of it when that is set."""
-    joins = np.ones(len(timestamps_ms), dtype=bool)
+    """Edges come exactly from consecutive rows that sit in distinct
+    clusters. Row i of the assignment stands for scan scan[i] of m (by
+    default, scan i) and joins row i - 1 unless its scan is scan 0 or,
+    with max_gap_ms set, follows the scan before it by a longer
+    timestamp gap (guards multi-hour collection holes; off by default).
+    Stacked prefixes, each a run of scans 0..n-1, so share no edge."""
+    check_coverage(assignment, m, scan)
+    joins = np.ones(m.T, dtype=bool)
     joins[:1] = False
     if max_gap_ms is not None:
         # Python-int gaps: an int64 difference wraps once stamps are 2**63 ms apart
-        joins[1:] = np.diff(np.array(timestamps_ms, dtype=object)) <= max_gap_ms
-    return joins
-
-
-def transition_graph(cluster_of: np.ndarray, n_nodes: int, joins: np.ndarray) -> TransitionGraph:
-    """The graph whose edges join each row i of `cluster_of` with
-    `joins[i]` set to row i - 1, when the two sit in distinct nodes. A
-    row that starts a stacked prefix has `joins` clear, so no edge
-    crosses from one prefix to the next."""
+        joins[1:] = np.diff(np.array(m.timestamps_ms, dtype=object)) <= max_gap_ms
+    if scan is not None:
+        joins = joins[scan]
+    cluster_of, n = assignment.cluster_of, assignment.n_clusters
     u, v = cluster_of[:-1], cluster_of[1:]
     keep = joins[1:] & (u != v)
     u, v = u[keep], v[keep]  # repeated pairs merge as CSR sums its COO input
-    A = csr_array((np.ones(2 * len(u), bool), (np.r_[u, v], np.r_[v, u])),
-                  shape=(n_nodes, n_nodes))
+    A = csr_array((np.ones(2 * len(u), bool), (np.r_[u, v], np.r_[v, u])), shape=(n, n))
     return TransitionGraph(A=A, cluster_of=cluster_of)
 
 

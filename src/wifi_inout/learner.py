@@ -36,7 +36,6 @@ from .trees import Ensemble, Tree, grow_tree
 
 RANDOM_FOREST = "random_forest"
 GBM = "gbm"
-TIE_RULES = ("indoor", "drop")
 
 RF_DEFAULTS = {"n_trees": 100, "max_features": None, "min_leaf": 1, "max_depth": None}
 GBM_DEFAULTS = {"n_rounds": 100, "depth": 3, "learning_rate": 0.1, "min_leaf": 1}
@@ -52,25 +51,18 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 def label_nodes(
     assignment: ClusterAssignment,
     labels: Sequence[Optional[str]],
-    tie_rule: str = "indoor",
 ) -> np.ndarray:
     """Per node, the majority label of its labelled member fingerprints,
     as a `label_codes` code: -1 for a node with no labelled member.
 
-    Ties go to indoor (the dominant class in the wild) unless
-    tie_rule="drop" leaves the node at -1. Unlabelled nodes are still
-    scored at prediction time.
+    Ties go to indoor (the dominant class in the wild). Unlabelled nodes
+    are still scored at prediction time.
     """
-    if tie_rule not in TIE_RULES:
-        raise FormatError(f"tie_rule must be 'indoor' or 'drop', got {tie_rule!r}")
     codes = label_codes(labels)
     n_in, n_out = (np.bincount(assignment.cluster_of, codes == c, assignment.n_clusters)
                    for c in (1, 0))
     nodes = (n_in >= n_out).astype(np.int8)
-    unlabelled = n_in + n_out == 0
-    if tie_rule == "drop":
-        unlabelled |= n_in == n_out
-    nodes[unlabelled] = -1
+    nodes[n_in + n_out == 0] = -1
     return nodes
 
 

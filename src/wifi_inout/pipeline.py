@@ -7,17 +7,18 @@ real clustering, and "fingerprints" treats every scan as its own
 cluster (the raw-fingerprint baseline).
 
 The stagewise CLI, cross-validation and warm-up evaluation call
-`partition`, `graph`, `stages` and `train_model` too, so every path maps
-a config onto the same stage calls. The warm-up's minute prefixes go
-through `prefix_stages`, which stacks them block-diagonally in chunks,
-so that one graph, one BFS and one prediction serve every prefix of a
-chunk.
+`partition`, `stages` and `train_model` too, so every path maps a config
+onto the same stage calls. The warm-up's minute prefixes go through
+`prefix_stages`, which stacks them block-diagonally in chunks and builds
+each chunk with one `stages` call, its row map `scan` sending each
+stacked row to its scan, so that one graph, one BFS and one prediction
+serve every prefix of a chunk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,9 +31,9 @@ from .clustering import (
 )
 from .config import PipelineConfig
 from .evaluation import EvalReport, evaluate
-from .features import FeatureTable, extract_features, neighborhood_features, node_totals
+from .features import FeatureTable, extract_features
 from .fpindex import build_index
-from .graph import TransitionGraph, build_graph, scan_joins, transition_graph
+from .graph import TransitionGraph, build_graph
 from .learner import Model, Prediction, label_nodes, predict, train
 from .model import FingerprintMatrix
 
@@ -65,18 +66,16 @@ def train_model(
                  hyperparameters=config.hyperparameters())
 
 
-def graph(
-    assignment: ClusterAssignment, m: FingerprintMatrix, config: PipelineConfig
-) -> TransitionGraph:
-    return build_graph(assignment, m, config.max_gap_ms)
-
-
 def stages(
-    assignment: ClusterAssignment, m: FingerprintMatrix, config: PipelineConfig
+    assignment: ClusterAssignment,
+    m: FingerprintMatrix,
+    config: PipelineConfig,
+    scan: Optional[np.ndarray] = None,
 ) -> Stages:
-    """The graph and feature table of a partition of m."""
-    g = graph(assignment, m, config)
-    feats = extract_features(g, m, config.feature_ranges())
+    """The graph and feature table of a partition of m, whose row i
+    stands for scan scan[i] of m (by default, scan i)."""
+    g = build_graph(assignment, m, config.max_gap_ms, scan)
+    feats = extract_features(g, m, config.feature_ranges(), scan)
     return Stages(assignment=assignment, graph=g, features=feats)
 
 
@@ -134,18 +133,11 @@ def _stack(
 ) -> PrefixChunk:
     """One chunk's stages, from its (n, partition of m.prefix(n)) pairs."""
     ends = [n for n, _ in chunk]
-    m = m.prefix(ends[-1])
     node_starts = np.cumsum([0] + [a.n_clusters for _, a in chunk])
     cluster_of = np.concatenate(
         [a.cluster_of + o for (_, a), o in zip(chunk, node_starts.tolist())])
-    starts = np.cumsum([0] + ends[:-1])
-    scan = np.arange(len(cluster_of)) - np.repeat(starts, ends)
-    g = transition_graph(cluster_of, int(node_starts[-1]),
-                         scan_joins(m.timestamps_ms, config.max_gap_ms)[scan])
-    dbm_sum = np.bincount(m.rows, m.dbm, m.T)
-    feats = neighborhood_features(g, node_totals(cluster_of, g.n_nodes, m.k[scan], dbm_sum[scan]),
-                                  config.feature_ranges())
-    return PrefixChunk(ends, Stages(ClusterAssignment(cluster_of), g, feats),
+    scan = np.concatenate([np.arange(n) for n in ends])
+    return PrefixChunk(ends, stages(ClusterAssignment(cluster_of), m, config, scan),
                        node_starts[:-1], scan)
 
 

@@ -521,6 +521,35 @@ def test_warmup_path_builds_no_index(variant, monkeypatch):
     assert warmup_eval(model, scenario, 12, cfg).entries == entries
 
 
+def test_warmup_chunk_is_one_build_graph_and_one_extract_features(monkeypatch):
+    """Each warm-up chunk goes through the stage path every stream uses:
+    one `build_graph` and one `extract_features` call, whose graphs and
+    feature rows hold the nodes of every prefix."""
+    cfg = PipelineConfig(seed=2, n_trees=10)
+    model = _small_model("graph")
+    m = ingest(generate(WorldSpec(seed=9, duration_s=720.0)))
+    t0 = m.timestamps_ms[0]
+    ends = [bisect_left(m.timestamps_ms, t0 + minute * 60000) for minute in range(1, 13)]
+    nodes = sum(build_stages(m.prefix(n), cfg).graph.n_nodes for n in ends)
+    monkeypatch.setattr(pipeline, "_CHUNK_SCANS", 500)
+    n_chunks = sum(1 for _ in prefix_stages(m, cfg, ends))
+    assert n_chunks > 1
+
+    def recording(fn, out):
+        def wrapper(*args, **kwargs):
+            out.append(fn(*args, **kwargs))
+            return out[-1]
+        return wrapper
+
+    graphs, tables = [], []
+    monkeypatch.setattr(pipeline, "build_graph", recording(pipeline.build_graph, graphs))
+    monkeypatch.setattr(pipeline, "extract_features",
+                        recording(pipeline.extract_features, tables))
+    warmup_eval(model, m, 12, cfg)
+    assert len(graphs) == len(tables) == n_chunks
+    assert sum(g.n_nodes for g in graphs) == sum(t.n_nodes for t in tables) == nodes
+
+
 @functools.lru_cache(maxsize=None)
 def _small_model(variant):
     cfg = PipelineConfig(seed=2, n_trees=10, variant=variant)

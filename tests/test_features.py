@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from wifi_inout import features
 from wifi_inout.clustering import ClusterParams, cluster
 from wifi_inout.errors import (
-    ConfigError, DegenerateLabelsError, FormatError, NodeRangeError, RankDeficiencyError,
+    ConfigError, CoverageError, DegenerateLabelsError, FormatError, NodeRangeError,
+    RankDeficiencyError,
 )
 from wifi_inout.features import (
     DEFAULT_RANGES,
@@ -145,6 +146,14 @@ def test_bfs_layers_equal_per_node_bfs_for_every_source(labels, max_d, rnd):
         assert got + [set()] * (max_d + 1 - len(got)) == want
         for d in range(max_d + 1):
             assert neighborhood(g, x, d).members == set().union(*want[:d + 1])
+
+
+@pytest.mark.parametrize("scan", [[0, 1], [0, 1, 3]])
+def test_extract_features_refuses_a_bad_scan_map(scan):
+    m = _trivial_matrix(3)
+    g = build_graph(_assignment([0, 1, 2]), m)
+    with pytest.raises(CoverageError):
+        extract_features(g, m, scan=np.array(scan))
 
 
 def test_feature_grid_rejects_negative_hop_bound():

@@ -85,6 +85,21 @@ def test_coverage_error():
         build_graph(bad, m)
 
 
+def test_row_of_scan_zero_starts_a_block():
+    """Rows mapped to scans 0..2 then 0..1: the second run joins nothing
+    before it, as two prefixes stacked in a warm-up chunk."""
+    m = _trivial_matrix(3)
+    g = build_graph(_assignment([0, 1, 2, 3, 4]), m, scan=np.array([0, 1, 2, 0, 1]))
+    assert g.adjacency == [{1}, {0, 2}, {1}, {4}, {3}]
+
+
+@pytest.mark.parametrize("scan", [[0, 1], [0, 1, -1], [0, 1, 3]])
+def test_scan_of_another_length_or_outside_the_scans_is_a_coverage_error(scan):
+    m = _trivial_matrix(3)
+    with pytest.raises(CoverageError):
+        build_graph(_assignment([0, 1, 2]), m, scan=np.array(scan))
+
+
 def test_neighborhood_d0_and_paths():
     m = _trivial_matrix(6)
     g = build_graph(_assignment([0, 1, 2, 1, 0, 1]), m)  # path 0-1-2

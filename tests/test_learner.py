@@ -63,14 +63,6 @@ def test_label_nodes_tie_breaks_indoor():
         assert label_nodes(assignment, labs).tolist() == [want]
 
 
-def test_label_nodes_drop_rule_and_unlabeled():
-    assignment = _assignment([[0, 1], [2]])
-    got = label_nodes(assignment, [INDOOR, OUTDOOR, None], tie_rule="drop")
-    assert got.tolist() == [-1, -1]
-    with pytest.raises(FormatError):
-        label_nodes(assignment, [INDOOR, OUTDOOR, None], tie_rule="coin")
-
-
 def test_label_codes():
     got = label_codes([INDOOR, OUTDOOR, None, INDOOR])
     assert got.dtype == np.int8
@@ -78,7 +70,7 @@ def test_label_codes():
     assert label_codes([]).tolist() == []
 
 
-def reference_label_nodes(assignment, labels, tie_rule="indoor"):
+def reference_label_nodes(assignment, labels):
     """The per-member loop that label_nodes replaced, kept as its
     reference: each node's majority code, -1 for a node left unlabeled."""
     codes = []
@@ -88,23 +80,19 @@ def reference_label_nodes(assignment, labels, tie_rule="indoor"):
         if n_in == 0 and n_out == 0:
             codes.append(-1)
             continue
-        if n_in == n_out and tie_rule == "drop":
-            codes.append(-1)
-            continue
         codes.append(1 if n_in >= n_out else 0)
     return codes
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 9), st.sampled_from([INDOOR, OUTDOOR, None])),
-                min_size=1, max_size=60),
-       st.sampled_from(["indoor", "drop"]))
-def test_label_nodes_equals_per_member_loop(scans, tie_rule):
+                min_size=1, max_size=60))
+def test_label_nodes_equals_per_member_loop(scans):
     cluster_of, labels = zip(*scans)
     assignment = ClusterAssignment(cluster_of=np.array(cluster_of, dtype=np.int64))
-    got = label_nodes(assignment, list(labels), tie_rule)
+    got = label_nodes(assignment, list(labels))
     assert got.dtype == np.int8
-    assert got.tolist() == reference_label_nodes(assignment, labels, tie_rule)
+    assert got.tolist() == reference_label_nodes(assignment, labels)
 
 
 def _separable(rng, n=200, p=2):
